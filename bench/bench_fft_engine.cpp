@@ -167,7 +167,9 @@ void write_batched_csv() {
   fx::core::CsvWriter csv("bench/out/fft_engine_batched.csv");
   csv.row({"n", "batch", "layout", "scalar_items_per_s", "batched_items_per_s",
            "speedup", "scalar_gflops", "batched_gflops"});
-  for (std::size_t n : {60UL, 64UL, 120UL, 128UL, 243UL, 720UL, 1009UL}) {
+  // 20 is the service grid, 60 and 120 the QE grids, 1009 a Bluestein prime.
+  for (std::size_t n :
+       {20UL, 60UL, 64UL, 120UL, 128UL, 243UL, 720UL, 1009UL}) {
     for (std::size_t batch : {8UL, 64UL, 512UL}) {
       csv_cell(csv, n, batch, /*transposed=*/false);
       csv_cell(csv, n, batch, /*transposed=*/true);

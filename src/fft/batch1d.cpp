@@ -22,6 +22,69 @@ constexpr std::size_t kPack = 2 * kW;
 /// themselves.  Longer transforms fall back to the scalar path.
 constexpr std::size_t kL2TileBytes = 512 * 1024;
 
+/// Pack-granular mirror of odd_prime_dft (plan1d.cpp), the symmetric
+/// butterfly for an odd prime radix R = 2H+1: the same operations in the
+/// same order, each an 8-lane loop, so a tile and a scalar lone tail round
+/// identically.  z packs are zp doubles apart, out packs op apart.
+template <std::size_t R>
+void odd_prime_pack(const double* z, std::size_t zp, double* out,
+                    std::size_t op, const cplx* twiddle, std::size_t step) {
+  constexpr std::size_t H = R / 2;
+  // cw[t-1][q-1] + i*sw[t-1][q-1] = w_R^{tq}, hoisted out of the lane loops.
+  double cw[H][H];
+  double sw[H][H];
+  for (std::size_t t = 1; t <= H; ++t) {
+    for (std::size_t q = 1; q <= H; ++q) {
+      const cplx w = twiddle[((t * q) % R) * step];
+      cw[t - 1][q - 1] = w.real();
+      sw[t - 1][q - 1] = w.imag();
+    }
+  }
+  // a_q = z_q + z_{R-q}, b_q = z_q - z_{R-q}: one pack each per q.
+  alignas(64) double a[H * kPack];
+  alignas(64) double b[H * kPack];
+  for (std::size_t q = 1; q <= H; ++q) {
+    const double* zq = z + q * zp;
+    const double* zm = z + (R - q) * zp;
+    double* aq = a + (q - 1) * kPack;
+    double* bq = b + (q - 1) * kPack;
+#pragma omp simd
+    for (std::size_t d = 0; d < kPack; ++d) {
+      aq[d] = zq[d] + zm[d];
+      bq[d] = zq[d] - zm[d];
+    }
+  }
+#pragma omp simd
+  for (std::size_t d = 0; d < kPack; ++d) {
+    double acc = z[d];
+    for (std::size_t q = 0; q < H; ++q) acc += a[q * kPack + d];
+    out[d] = acc;
+  }
+  for (std::size_t t = 1; t <= H; ++t) {
+    const double* c = cw[t - 1];
+    const double* s = sw[t - 1];
+    double* ot = out + t * op;
+    double* om = out + (R - t) * op;
+#pragma omp simd
+    for (std::size_t l = 0; l < kW; ++l) {
+      double cr = z[l] + c[0] * a[l];
+      double ci = z[kW + l] + c[0] * a[kW + l];
+      double sr = s[0] * b[l];
+      double si = s[0] * b[kW + l];
+      for (std::size_t q = 1; q < H; ++q) {
+        cr += c[q] * a[q * kPack + l];
+        ci += c[q] * a[q * kPack + kW + l];
+        sr += s[q] * b[q * kPack + l];
+        si += s[q] * b[q * kPack + kW + l];
+      }
+      ot[l] = cr - si;
+      ot[kW + l] = ci + sr;
+      om[l] = cr + si;
+      om[kW + l] = ci - sr;
+    }
+  }
+}
+
 }  // namespace
 
 BatchKernel default_batch_kernel() {
@@ -180,6 +243,7 @@ void BatchPlan1d::bsmall_dft(std::size_t r, const double* z, std::size_t zs,
   const double s = sign_of(base_.direction());
   const std::size_t zp = zs * kPack;
   const std::size_t op = os * kPack;
+  const cplx* tw = base_.twiddle_.data();
   switch (r) {
     case 1:
 #pragma omp simd
@@ -265,31 +329,20 @@ void BatchPlan1d::bsmall_dft(std::size_t r, const double* z, std::size_t zs,
       }
       return;
     }
-    default: {
-      // Generic O(r^2) kernel (r in {5, 7, 11, 13}) via the shared full
-      // twiddle table: w_r^{tq} = twiddle[((t*q) % r) * (n/r)].
-      const std::size_t step = base_.size() / r;
-      alignas(64) double acc[kPack];
-      for (std::size_t t = 0; t < r; ++t) {
-#pragma omp simd
-        for (std::size_t d = 0; d < kPack; ++d) acc[d] = z[d];
-        for (std::size_t q = 1; q < r; ++q) {
-          const cplx w = base_.twiddle_[((t * q) % r) * step];
-          const double wr = w.real();
-          const double wi = w.imag();
-          const double* zq = z + q * zp;
-#pragma omp simd
-          for (std::size_t l = 0; l < kW; ++l) {
-            acc[l] += zq[l] * wr - zq[kW + l] * wi;
-            acc[kW + l] += zq[l] * wi + zq[kW + l] * wr;
-          }
-        }
-        double* dst = out + t * op;
-#pragma omp simd
-        for (std::size_t d = 0; d < kPack; ++d) dst[d] = acc[d];
-      }
+    case 5:
+      odd_prime_pack<5>(z, zp, out, op, tw, base_.size() / 5);
       return;
-    }
+    case 7:
+      odd_prime_pack<7>(z, zp, out, op, tw, base_.size() / 7);
+      return;
+    case 11:
+      odd_prime_pack<11>(z, zp, out, op, tw, base_.size() / 11);
+      return;
+    case 13:
+      odd_prime_pack<13>(z, zp, out, op, tw, base_.size() / 13);
+      return;
+    default:
+      FX_ASSERT(false, "radix outside factorize()'s set");
   }
 }
 

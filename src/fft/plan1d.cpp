@@ -32,6 +32,50 @@ std::vector<std::size_t> factorize(std::size_t n) {
   return factors;
 }
 
+/// Symmetric butterfly for an odd prime radix R = 2H+1.  With
+/// w^{tq} = c + i*s, inputs q and R-q pair up: out[t] and out[R-t] share
+/// C = z0 + sum_q c*(z_q + z_{R-q}) and S = sum_q s*(z_q - z_{R-q}), and
+/// differ only in the sign of i*S -- real-by-complex products only, about
+/// a third of the flops of the direct O(R^2) sum.  Twiddle entries
+/// w_R^k = twiddle[k*step].  odd_prime_pack (batch1d.cpp) performs the
+/// same operations in the same order, so the two engines agree bitwise.
+template <std::size_t R>
+void odd_prime_dft(const cplx* z, cplx* out, std::size_t ostride,
+                   const cplx* twiddle, std::size_t step) {
+  constexpr std::size_t H = R / 2;
+  double ar[H], ai[H], br[H], bi[H];
+  for (std::size_t q = 1; q <= H; ++q) {
+    ar[q - 1] = z[q].real() + z[R - q].real();
+    ai[q - 1] = z[q].imag() + z[R - q].imag();
+    br[q - 1] = z[q].real() - z[R - q].real();
+    bi[q - 1] = z[q].imag() - z[R - q].imag();
+  }
+  double r0 = z[0].real();
+  double i0 = z[0].imag();
+  for (std::size_t q = 0; q < H; ++q) {
+    r0 += ar[q];
+    i0 += ai[q];
+  }
+  out[0] = cplx{r0, i0};
+  for (std::size_t t = 1; t <= H; ++t) {
+    const cplx w1 = twiddle[t * step];
+    double cr = z[0].real() + w1.real() * ar[0];
+    double ci = z[0].imag() + w1.real() * ai[0];
+    double sr = w1.imag() * br[0];
+    double si = w1.imag() * bi[0];
+    for (std::size_t q = 2; q <= H; ++q) {
+      const cplx w = twiddle[((t * q) % R) * step];
+      cr += w.real() * ar[q - 1];
+      ci += w.real() * ai[q - 1];
+      sr += w.imag() * br[q - 1];
+      si += w.imag() * bi[q - 1];
+    }
+    // out[t] = C + i*S, out[R-t] = C - i*S.
+    out[t * ostride] = cplx{cr - si, ci + sr};
+    out[(R - t) * ostride] = cplx{cr + si, ci - sr};
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -119,19 +163,20 @@ void Fft1d::small_dft(std::size_t r, const cplx* z, cplx* out,
       out[3 * ostride] = t1 - it3;
       return;
     }
-    default: {
-      // Generic O(r^2) kernel via the full twiddle table:
-      // w_r^{tq} = twiddle_[((t*q) % r) * (n_/r)].
-      const std::size_t step = n_ / r;
-      for (std::size_t t = 0; t < r; ++t) {
-        cplx acc = z[0];
-        for (std::size_t q = 1; q < r; ++q) {
-          acc += z[q] * twiddle_[((t * q) % r) * step];
-        }
-        out[t * ostride] = acc;
-      }
+    case 5:
+      odd_prime_dft<5>(z, out, ostride, twiddle_.data(), n_ / 5);
       return;
-    }
+    case 7:
+      odd_prime_dft<7>(z, out, ostride, twiddle_.data(), n_ / 7);
+      return;
+    case 11:
+      odd_prime_dft<11>(z, out, ostride, twiddle_.data(), n_ / 11);
+      return;
+    case 13:
+      odd_prime_dft<13>(z, out, ostride, twiddle_.data(), n_ / 13);
+      return;
+    default:
+      FX_ASSERT(false, "radix outside factorize()'s set");
   }
 }
 
@@ -162,12 +207,17 @@ void Fft1d::recurse(std::size_t n, std::size_t factor_index, const cplx* in,
 
   // Combine: out[j + t*m] = sum_q w_n^{j*q} * w_r^{t*q} * scratch[q*m + j].
   // w_n^{e} = twiddle_[e * (n_/n)]; e = j*q < n so no modular reduction.
+  // The twiddle multiply is spelled out in real arithmetic, in the order
+  // BatchPlan1d::brecurse uses, so both engines round identically.
   const std::size_t step = n_ / n;
   cplx z[13];
   for (std::size_t j = 0; j < m; ++j) {
     z[0] = scratch[j];
     for (std::size_t q = 1; q < r; ++q) {
-      z[q] = scratch[q * m + j] * twiddle_[j * q * step];
+      const cplx x = scratch[q * m + j];
+      const cplx w = twiddle_[j * q * step];
+      z[q] = cplx{x.real() * w.real() - x.imag() * w.imag(),
+                  x.real() * w.imag() + x.imag() * w.real()};
     }
     small_dft(r, z, out + j, m);
   }

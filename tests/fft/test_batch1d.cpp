@@ -2,13 +2,16 @@
 // path: every (length, batch, layout) combination is checked against the
 // scalar oracle within 1e-12 relative L2 error, against the naive
 // reference DFT, and through round trips -- including batch sizes that
-// leave partial tiles and the Bluestein fallback length.
+// leave partial tiles and the Bluestein fallback length -- and every
+// mixed-radix length must match the scalar oracle bit for bit.
 #include "fft/batch1d.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -163,7 +166,10 @@ TEST_P(BatchSweep, ScalarKernelPlanMatchesSimdPlan) {
 
 std::vector<BatchCase> all_cases() {
   std::vector<BatchCase> cases;
-  for (std::size_t n : {60UL, 64UL, 120UL, 243UL, 720UL, 1009UL}) {
+  // Every odd prime radix runs through the tile path: 5 (20, 35, 60, 120,
+  // 720), 7 (35, 77, 1001), 11 (77, 143, 1001) and 13 (143, 1001).
+  for (std::size_t n : {20UL, 35UL, 60UL, 64UL, 77UL, 120UL, 143UL, 243UL,
+                        720UL, 1001UL, 1009UL}) {
     for (std::size_t batch : {1UL, 3UL, kW, kW + 1, 64UL}) {
       cases.push_back({n, batch, false});
       cases.push_back({n, batch, true});
@@ -174,6 +180,31 @@ std::vector<BatchCase> all_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Layouts, BatchSweep, ::testing::ValuesIn(all_cases()),
                          case_name);
+
+TEST(BatchPlan1d, ScalarAndSimdAgreeBitwise) {
+  // The pipeline's cross-mode bit-identity rests on this: a schedule may
+  // run a transform through a SIMD tile in one mode and through the scalar
+  // lone-tail path in another.  Batch 17 = two full tiles plus a lone tail.
+  const std::size_t batch = 2 * kW + 1;
+  Workspace ws;
+  for (std::size_t n : {20UL, 35UL, 60UL, 64UL, 77UL, 120UL, 143UL, 243UL,
+                        720UL, 1001UL}) {
+    for (Direction dir : {Direction::Forward, Direction::Backward}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (dir == Direction::Forward ? " forward" : " backward"));
+      const BatchPlan1d simd(n, dir, BatchKernel::Simd);
+      ASSERT_TRUE(simd.simd_active());
+      const auto in = random_signal(n * batch, 6000 + n);
+      std::vector<cplx> got(n * batch);
+      std::vector<cplx> want(n * batch);
+      simd.execute_many(batch, in.data(), 1, n, got.data(), 1, n, ws);
+      simd.scalar_plan().execute_many(batch, in.data(), 1, n, want.data(), 1,
+                                      n, ws);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(cplx)),
+                0);
+    }
+  }
+}
 
 TEST(BatchPlan1d, SimdActiveMatchesExpectations) {
   // Mixed-radix sizes that fit the L2 tile budget vectorize...
