@@ -1,6 +1,8 @@
 // google-benchmark microbenches of the FFT engine substrate, plus the
 // scalar-vs-batched A/B harness that records bench/out/fft_engine_batched.csv
-// (items/sec and GFLOP/s via the 5*n*log2(n) mixed-radix flop model).
+// (items/sec and GFLOP/s via the 5*n*log2(n) mixed-radix flop model) for
+// the scalar oracle, the baseline tile copy and the default (widest
+// supported) tile copy.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -23,6 +25,7 @@ using fx::fft::BatchKernel;
 using fx::fft::BatchPlan1d;
 using fx::fft::cplx;
 using fx::fft::Direction;
+using fx::fft::detail::TileIsa;
 
 std::vector<cplx> random_signal(std::size_t n) {
   fx::core::Rng rng(n);
@@ -131,42 +134,48 @@ std::string fmt(double v) {
   return buf;
 }
 
-/// Times one (n, batch, layout) cell through the scalar oracle and the
-/// SIMD engine, in place, and appends a CSV row.  items/sec counts
-/// transformed elements (n per transform); GFLOP/s uses the 5*n*log2(n)
-/// flop model per transform.
+/// Times one (n, batch, layout) cell through the scalar oracle, the
+/// baseline tile copy and the default plan's tile copy, in place, and
+/// appends a CSV row.  items/sec counts transformed elements (n per
+/// transform); GFLOP/s uses the 5*n*log2(n) flop model per transform.
 void csv_cell(fx::core::CsvWriter& csv, std::size_t n, std::size_t batch,
               bool transposed) {
   const BatchPlan1d simd(n, Direction::Backward, BatchKernel::Simd);
+  const BatchPlan1d baseline(n, Direction::Backward, BatchKernel::Simd,
+                             TileIsa::Baseline);
   const BatchPlan1d scalar(n, Direction::Backward, BatchKernel::Scalar);
   fx::fft::Workspace ws;
   auto data = random_signal(n * batch);
   const std::size_t istride = transposed ? batch : 1;
   const std::size_t idist = transposed ? 1 : n;
 
-  const double t_scalar = seconds_per_call([&] {
-    scalar.execute_many(batch, data.data(), istride, idist, data.data(),
+  const auto time = [&](const BatchPlan1d& plan) {
+    return seconds_per_call([&] {
+      plan.execute_many(batch, data.data(), istride, idist, data.data(),
                         istride, idist, ws);
-  });
-  const double t_simd = seconds_per_call([&] {
-    simd.execute_many(batch, data.data(), istride, idist, data.data(),
-                      istride, idist, ws);
-  });
+    });
+  };
+  const double t_scalar = time(scalar);
+  const double t_baseline = time(baseline);
+  const double t_simd = time(simd);
 
   const double elems = static_cast<double>(n * batch);
   const double flops = 5.0 * static_cast<double>(n) *
                        std::log2(static_cast<double>(n)) *
                        static_cast<double>(batch);
   csv.row({std::to_string(n), std::to_string(batch),
-           transposed ? "transposed" : "contiguous", fmt(elems / t_scalar),
-           fmt(elems / t_simd), fmt(t_scalar / t_simd),
-           fmt(flops / t_scalar / 1e9), fmt(flops / t_simd / 1e9)});
+           transposed ? "transposed" : "contiguous",
+           simd.tile_isa() == TileIsa::Avx512 ? "avx512" : "baseline",
+           fmt(elems / t_scalar), fmt(elems / t_baseline), fmt(elems / t_simd),
+           fmt(t_scalar / t_simd), fmt(flops / t_scalar / 1e9),
+           fmt(flops / t_baseline / 1e9), fmt(flops / t_simd / 1e9)});
 }
 
 void write_batched_csv() {
   fx::core::CsvWriter csv("bench/out/fft_engine_batched.csv");
-  csv.row({"n", "batch", "layout", "scalar_items_per_s", "batched_items_per_s",
-           "speedup", "scalar_gflops", "batched_gflops"});
+  csv.row({"n", "batch", "layout", "batched_tile", "scalar_items_per_s",
+           "baseline_tile_items_per_s", "batched_items_per_s", "speedup",
+           "scalar_gflops", "baseline_tile_gflops", "batched_gflops"});
   // 20 is the service grid, 60 and 120 the QE grids, 1009 a Bluestein prime.
   for (std::size_t n :
        {20UL, 60UL, 64UL, 120UL, 128UL, 243UL, 720UL, 1009UL}) {

@@ -18,6 +18,8 @@
 // L2-resident scratch (3 ping-pong buffers of n packs, 384*n bytes), and
 // scattered back, so arbitrary (stride, dist) layouts -- contiguous
 // sticks and transposed columns alike -- pay only the two transposes.
+// The tile code (batch_tile.cpp) is compiled once per instruction set;
+// each plan picks the widest copy the CPU supports when it is built.
 //
 // Fallbacks keep every size correct: Bluestein lengths, length-1 tails of
 // a tile, and lengths whose tile scratch would overflow L2 all route
@@ -27,6 +29,7 @@
 
 #include <cstddef>
 
+#include "fft/batch_tile.hpp"
 #include "fft/plan1d.hpp"
 #include "fft/types.hpp"
 #include "fft/workspace.hpp"
@@ -43,15 +46,34 @@ enum class BatchKernel { Simd, Scalar };
 /// switch the pipeline benches use without recompiling.
 BatchKernel default_batch_kernel();
 
+namespace detail {
+
+/// The compiled copies of the tile kernel (batch_tile.hpp).  A BatchPlan1d
+/// runs the widest copy the CPU supports; naming a copy is a seam for tests
+/// and bench_fft_engine only, so that they can run every copy.
+enum class TileIsa { Baseline, Avx512 };
+
+/// True if the copy is compiled into this build and the CPU can run it.
+[[nodiscard]] bool tile_isa_supported(TileIsa isa);
+
+}  // namespace detail
+
 class BatchPlan1d {
  public:
   /// Transforms per SIMD tile: 8 doubles = one AVX-512 register (KNL's
-  /// native width); on narrower hosts the compiler splits each lane loop
-  /// into 2 or 4 vector ops, which still beats scalar complex arithmetic.
-  static constexpr std::size_t kSimdWidth = 8;
+  /// native width), which the AVX-512 tile copy fills; the baseline copy
+  /// splits each lane loop into 2 or 4 narrower vector ops, which still
+  /// beats scalar complex arithmetic.
+  static constexpr std::size_t kSimdWidth = detail::kTileLanes;
 
   BatchPlan1d(std::size_t n, Direction dir,
               BatchKernel kernel = default_batch_kernel());
+
+  /// Runs the tiles through the named kernel copy instead of the widest
+  /// supported one (the detail seam above); throws if the copy is not
+  /// supported.
+  BatchPlan1d(std::size_t n, Direction dir, BatchKernel kernel,
+              detail::TileIsa isa);
 
   [[nodiscard]] std::size_t size() const { return base_.size(); }
   [[nodiscard]] Direction direction() const { return base_.direction(); }
@@ -60,6 +82,9 @@ class BatchPlan1d {
   /// True if execute_many will use the SIMD tile path (false for the
   /// scalar oracle, Bluestein sizes, and tile-overflows-L2 lengths).
   [[nodiscard]] bool simd_active() const { return simd_ok_; }
+
+  /// The tile kernel copy this plan runs when simd_active().
+  [[nodiscard]] detail::TileIsa tile_isa() const { return isa_; }
 
   /// The scalar plan this batched plan wraps (the correctness oracle).
   [[nodiscard]] const Fft1d& scalar_plan() const { return base_; }
@@ -78,16 +103,10 @@ class BatchPlan1d {
                     std::size_t odist) const;
 
  private:
-  void execute_tile(std::size_t lanes, const cplx* in, std::size_t istride,
-                    std::size_t idist, cplx* out, std::size_t ostride,
-                    std::size_t odist, Workspace& ws) const;
-  void brecurse(std::size_t n, std::size_t factor_index, const double* in,
-                std::size_t istride, double* out, double* scratch) const;
-  void bsmall_dft(std::size_t r, const double* z, std::size_t zstride,
-                  double* out, std::size_t ostride) const;
-
   Fft1d base_;
   BatchKernel kernel_;
+  detail::TileIsa isa_;
+  detail::TileKernel tile_;
   bool simd_ok_;
 };
 

@@ -577,10 +577,14 @@ void Comm::alltoallv_bytes(const void* send, const std::size_t* scounts,
           rank_, " (world ", detail::wrank(*ctx_, rank_), "), which expects ",
           rcounts[pu], " element(s)"));
     }
-    const auto* in = static_cast<const char*>(op->send[pu]);
-    std::memcpy(out + rdispls[pu] * elem_size,
-                in + op->pdispls[pu][r] * elem_size,
-                rcounts[pu] * elem_size);
+    // A zero-element block may come with a null buffer on either side, and
+    // memcpy's pointers must be valid even for zero bytes.
+    if (rcounts[pu] != 0) {
+      const auto* in = static_cast<const char*>(op->send[pu]);
+      std::memcpy(out + rdispls[pu] * elem_size,
+                  in + op->pdispls[pu][r] * elem_size,
+                  rcounts[pu] * elem_size);
+    }
     recv_end = std::max(recv_end, (rdispls[pu] + rcounts[pu]) * elem_size);
   }
   detail::inject_corrupt(*ctx_, rank_, CommOpKind::Alltoallv, recv, recv_end);

@@ -3,7 +3,8 @@
 // scalar oracle within 1e-12 relative L2 error, against the naive
 // reference DFT, and through round trips -- including batch sizes that
 // leave partial tiles and the Bluestein fallback length -- and every
-// mixed-radix length must match the scalar oracle bit for bit.
+// mixed-radix length must match the scalar oracle bit for bit, through
+// every compiled copy of the tile kernel that this CPU can run.
 #include "fft/batch1d.hpp"
 
 #include <gtest/gtest.h>
@@ -29,8 +30,16 @@ using fx::fft::Direction;
 using fx::fft::dft_reference;
 using fx::fft::Fft1d;
 using fx::fft::Workspace;
+using fx::fft::detail::TileIsa;
+using fx::fft::detail::tile_isa_supported;
 
 constexpr std::size_t kW = BatchPlan1d::kSimdWidth;
+
+constexpr TileIsa kTileIsas[] = {TileIsa::Baseline, TileIsa::Avx512};
+
+const char* isa_name(TileIsa isa) {
+  return isa == TileIsa::Avx512 ? "avx512" : "baseline";
+}
 
 std::vector<cplx> random_signal(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -73,18 +82,21 @@ class BatchSweep : public ::testing::TestWithParam<BatchCase> {
 
 TEST_P(BatchSweep, MatchesScalarOracleWithin1em12RelL2) {
   const auto [n, batch, transposed] = GetParam();
-  const BatchPlan1d simd(n, Direction::Forward, BatchKernel::Simd);
-  const Fft1d& oracle = simd.scalar_plan();
   Workspace ws;
-
   const auto in = random_signal(n * batch, 1000 + n * 7 + batch);
-  std::vector<cplx> got(n * batch);
   std::vector<cplx> want(n * batch);
-  simd.execute_many(batch, in.data(), istride(), idist(), got.data(),
-                    istride(), idist(), ws);
+  const Fft1d oracle(n, Direction::Forward);
   oracle.execute_many(batch, in.data(), istride(), idist(), want.data(),
                       istride(), idist(), ws);
-  EXPECT_LT(rel_l2(got, want), 1e-12);
+  for (const TileIsa isa : kTileIsas) {
+    if (!tile_isa_supported(isa)) continue;
+    SCOPED_TRACE(isa_name(isa));
+    const BatchPlan1d simd(n, Direction::Forward, BatchKernel::Simd, isa);
+    std::vector<cplx> got(n * batch);
+    simd.execute_many(batch, in.data(), istride(), idist(), got.data(),
+                      istride(), idist(), ws);
+    EXPECT_LT(rel_l2(got, want), 1e-12);
+  }
 }
 
 TEST_P(BatchSweep, MatchesReferenceDft) {
@@ -181,7 +193,18 @@ std::vector<BatchCase> all_cases() {
 INSTANTIATE_TEST_SUITE_P(Layouts, BatchSweep, ::testing::ValuesIn(all_cases()),
                          case_name);
 
-TEST(BatchPlan1d, ScalarAndSimdAgreeBitwise) {
+class TileCopy : public ::testing::TestWithParam<TileIsa> {
+ protected:
+  void SetUp() override {
+    if (!tile_isa_supported(GetParam())) {
+      GTEST_SKIP() << "the " << isa_name(GetParam())
+                   << " tile copy is not compiled into this build or this "
+                      "CPU cannot run it";
+    }
+  }
+};
+
+TEST_P(TileCopy, ScalarAndSimdAgreeBitwise) {
   // The pipeline's cross-mode bit-identity rests on this: a schedule may
   // run a transform through a SIMD tile in one mode and through the scalar
   // lone-tail path in another.  Batch 17 = two full tiles plus a lone tail.
@@ -192,7 +215,7 @@ TEST(BatchPlan1d, ScalarAndSimdAgreeBitwise) {
     for (Direction dir : {Direction::Forward, Direction::Backward}) {
       SCOPED_TRACE("n=" + std::to_string(n) +
                    (dir == Direction::Forward ? " forward" : " backward"));
-      const BatchPlan1d simd(n, dir, BatchKernel::Simd);
+      const BatchPlan1d simd(n, dir, BatchKernel::Simd, GetParam());
       ASSERT_TRUE(simd.simd_active());
       const auto in = random_signal(n * batch, 6000 + n);
       std::vector<cplx> got(n * batch);
@@ -204,6 +227,25 @@ TEST(BatchPlan1d, ScalarAndSimdAgreeBitwise) {
                 0);
     }
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TileIsa, TileCopy, ::testing::ValuesIn(kTileIsas),
+    [](const ::testing::TestParamInfo<TileIsa>& info) {
+      return std::string(isa_name(info.param));
+    });
+
+TEST(BatchPlan1d, DefaultPlanRunsWidestTileCopy) {
+#if FX_FFT_TILE_AVX512
+  if (!__builtin_cpu_supports("avx512f")) {
+    GTEST_SKIP() << "CPU lacks avx512f: default plans run the baseline copy";
+  }
+  EXPECT_TRUE(tile_isa_supported(TileIsa::Avx512));
+  EXPECT_EQ(BatchPlan1d(60, Direction::Forward).tile_isa(), TileIsa::Avx512);
+#else
+  GTEST_SKIP() << "this build has no AVX-512 tile copy (not x86-64, or the "
+                  "compiler rejects -mavx512f)";
+#endif
 }
 
 TEST(BatchPlan1d, SimdActiveMatchesExpectations) {
