@@ -11,9 +11,13 @@
 // serial oracle.
 //
 // Usage: recovery_demo [nranks] [bands] [mode]
-//   (defaults: 4 ranks, 8 bands, mode original; mode "stream" runs the
-//   streaming executor with FFTX_STREAM_BANDS bands in flight, so the kill
-//   lands while several bands are mid-pipeline and replay must drain them)
+//   (defaults: 4 ranks, 8 bands, mode original; modes take the miniapp's
+//   names original|step|fft|combined|stream.  The task schedules run on 2
+//   workers; "stream" keeps FFTX_STREAM_BANDS bands in flight, so the kill
+//   lands while several bands are mid-pipeline and replay must drain them.)
+// Exits nonzero unless the recovered output matches the oracle and exactly
+// as many ranks report "killed" as the fault injector fired kills.
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "core/format.hpp"
+#include "core/metrics.hpp"
 #include "core/table.hpp"
 #include "fftx/pipeline.hpp"
 #include "fftx/recovery.hpp"
@@ -37,10 +42,17 @@ int main(int argc, char** argv) {
   const int bands = argc > 2 ? std::atoi(argv[2]) : 8;
   const std::string mode_arg = argc > 3 ? argv[3] : "original";
   fx::fftx::PipelineMode mode = fx::fftx::PipelineMode::Original;
-  if (mode_arg == "stream") {
+  if (mode_arg == "step") {
+    mode = fx::fftx::PipelineMode::TaskPerStep;
+  } else if (mode_arg == "fft") {
+    mode = fx::fftx::PipelineMode::TaskPerFft;
+  } else if (mode_arg == "combined") {
+    mode = fx::fftx::PipelineMode::Combined;
+  } else if (mode_arg == "stream") {
     mode = fx::fftx::PipelineMode::Streaming;
   } else if (mode_arg != "original") {
-    std::cerr << "unknown mode " << mode_arg << " (original|stream)\n";
+    std::cerr << "unknown mode " << mode_arg
+              << " (original|step|fft|combined|stream)\n";
     return 2;
   }
   const int ntg = nranks % 2 == 0 ? 2 : 1;
@@ -84,7 +96,11 @@ int main(int argc, char** argv) {
   // up and the run below unwinds on CommError/FaultError.
   fx::trace::ArtifactScope artifacts(nullptr, "recovery_demo");
 
+  fx::core::Counter& kills =
+      fx::core::MetricsRegistry::global().counter("simmpi.faults.kills");
+  const auto kills_before = kills.value();
   std::vector<std::vector<cplx>> result;
+  int killed = 0;
   std::mutex mu;
   fx::mpi::Runtime::run(nranks, opts, [&](fx::mpi::Comm& world) {
     fx::fftx::PipelineConfig cfg;
@@ -96,11 +112,14 @@ int main(int argc, char** argv) {
       // worker count, so give the ring enough workers to keep several
       // bands mid-pipeline when the kill fires.
       cfg.nthreads = std::max(2, cfg.stream_bands);
+    } else if (mode != fx::fftx::PipelineMode::Original) {
+      cfg.nthreads = 2;
     }
     fx::fftx::RecoveryDriver driver(world, desc, cfg, rcfg);
     std::vector<std::vector<cplx>> mine;
     const auto rep = driver.run(mine);
     std::lock_guard lock(mu);
+    if (rep.died) ++killed;
     t.row({fx::core::cat(world.rank()), rep.died ? "killed" : "completed",
            fx::core::cat(rep.shrinks), fx::core::cat(rep.replayed_bands),
            fx::core::cat(rep.repaired_bands),
@@ -113,6 +132,15 @@ int main(int argc, char** argv) {
 
   if (result.empty()) {
     std::cout << "no surviving rank completed -- recovery failed\n";
+    return 1;
+  }
+  // A killed rank must die, not finish as a survivor: the schedule has to
+  // hand the recovery driver the original fault, whichever task it hit.
+  const auto fired = kills.value() - kills_before;
+  std::cout << "\n" << killed << " rank(s) reported killed, " << fired
+            << " kill(s) injected\n";
+  if (static_cast<std::uint64_t>(killed) != fired) {
+    std::cout << "MISMATCH: killed ranks do not match injected kills\n";
     return 1;
   }
   // The oracle follows the configured pipeline mode: packed-pair reference

@@ -108,6 +108,9 @@ class AbftGuard {
     /// Post-transform pencil energy from the last z_verify -- the forward
     /// scatter's sent energy, reused so the send side costs no extra pass.
     double z_e_post = 0.0;
+    /// The backward scatter's sent (stick-column) energy, carried from the
+    /// stage's before half to its after half across the transpose.
+    double bw_e_send = 0.0;
     /// Expected post-VOFR energy, armed by vofr_arm and settled against the
     /// next capture's energy (the backward XY stage reads the same buffer,
     /// so the check rides its accumulation pass).  Negative = not armed.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -16,6 +15,7 @@
 #include "core/timer.hpp"
 #include "fft/checksum.hpp"
 #include "fft/gamma.hpp"
+#include "fftx/stream.hpp"
 #include "pw/wavefunction.hpp"
 #include "simmpi/faults.hpp"
 #include "trace/span.hpp"
@@ -257,7 +257,7 @@ BandFftPipeline::BandFftPipeline(mpi::Comm world,
   }
 
   if (fused_) {
-    // Fused scatter layouts (see the header): stick-ordered runs so any
+    // Fused layouts (see the header): stick-ordered scatter runs so any
     // overlap chunk is a contiguous sub-slice on both sides.
     const std::size_t nz = desc_->dims().nz;
     const std::size_t nxny = desc_->dims().plane();
@@ -277,6 +277,19 @@ BandFftPipeline::BandFftPipeline(mpi::Comm world,
         scat_recv_runs_[pu].push_back(
             mpi::SegRun{desc_->stick_xy(s), npz_b, nxny});
       }
+    }
+    for (int m = 0; m < ntg; ++m) {
+      const auto mu = static_cast<std::size_t>(m);
+      psi_runs_.push_back(mpi::SegRun{mu * ng_w, ng_w, 1});
+      group_runs_.push_back(mpi::SegRun{pack_displs_[mu], pack_counts_[mu], 1});
+    }
+    for (std::size_t p = 0; p < scat_send_runs_.size(); ++p) {
+      pencil_views_.emplace_back(scat_send_runs_[p]);
+      plane_views_.emplace_back(scat_recv_runs_[p]);
+    }
+    for (std::size_t m = 0; m < psi_runs_.size(); ++m) {
+      psi_views_.emplace_back(&psi_runs_[m], 1);
+      group_views_.emplace_back(&group_runs_[m], 1);
     }
   }
 
@@ -335,16 +348,16 @@ std::unique_ptr<BandFftPipeline::WorkBuffers> BandFftPipeline::make_buffers()
   return wb;
 }
 
-BandFftPipeline::WorkBuffers* BandFftPipeline::acquire_buffers() {
+BandFftPipeline::BorrowedBuffers BandFftPipeline::acquire_buffers() {
   {
     std::lock_guard lock(pool_mu_);
     if (!pool_.empty()) {
-      WorkBuffers* wb = pool_.back().release();
+      BorrowedBuffers wb(pool_.back().release(), ReturnBuffers{this});
       pool_.pop_back();
       return wb;
     }
   }
-  return make_buffers().release();
+  return {make_buffers().release(), ReturnBuffers{this}};
 }
 
 void BandFftPipeline::release_buffers(WorkBuffers* wb) {
@@ -447,7 +460,41 @@ void BandFftPipeline::exchange_view(mpi::Comm& comm, const cplx* send_base,
   }
 }
 
-void BandFftPipeline::do_pack(WorkBuffers& wb, int iter) {
+// --- Exchange stages --------------------------------------------------------
+//
+// Each exchange stage is split around its transpose (see ExchangeStage).
+// Blocking execution runs before, transpose, after; the streaming split
+// path posts the same transpose nonblocking and runs the after half in its
+// completion waitable.  Arithmetic and hook order are identical either way,
+// which keeps every schedule bit-identical to the Original oracle.
+
+const BandFftPipeline::ExchangeStage BandFftPipeline::kPack{
+    "pack", &BandFftPipeline::pack_before, nullptr};
+const BandFftPipeline::ExchangeStage BandFftPipeline::kScatterFw{
+    "scatter_fw", &BandFftPipeline::scatter_fw_before,
+    &BandFftPipeline::scatter_fw_after};
+const BandFftPipeline::ExchangeStage BandFftPipeline::kScatterBw{
+    "scatter_bw", &BandFftPipeline::scatter_bw_before,
+    &BandFftPipeline::scatter_bw_after};
+const BandFftPipeline::ExchangeStage BandFftPipeline::kUnpack{
+    "unpack", &BandFftPipeline::unpack_before,
+    &BandFftPipeline::unpack_after};
+
+void BandFftPipeline::do_exchange(const ExchangeStage& x, WorkBuffers& wb,
+                                  int iter) {
+  const Transpose t = (this->*x.before)(wb, iter);
+  if (t.comm != nullptr && fused_) {
+    exchange_view(*t.comm, t.send, t.sviews, t.recv, t.rviews,
+                  /*tag=*/iter);
+  } else if (t.comm != nullptr) {
+    exchange(*t.comm, t.send, t.scounts, t.sdispls, t.recv, t.rcounts,
+             t.rdispls, /*tag=*/iter);
+  }
+  if (x.after != nullptr) (this->*x.after)(wb, iter);
+}
+
+BandFftPipeline::Transpose BandFftPipeline::pack_before(WorkBuffers& wb,
+                                                        int iter) {
   const int ntg = desc_->ntg();
   const std::size_t ng_w = desc_->ng_world(w_);
   if (abft_ != nullptr) abft_->begin_iteration(wb.abft, iter);
@@ -471,26 +518,13 @@ void BandFftPipeline::do_pack(WorkBuffers& wb, int iter) {
         wb.band_g[k] = wire_q(cfg_.wire_format, src[k]);
       }
     }
-    return;
+    return {};
   }
   if (fused_) {
     // Zero-copy pack: member m's segment is band iter + m in the psi
     // arena; the exchange gathers straight from there into band_g.
-    const auto nu = static_cast<std::size_t>(ntg);
-    std::vector<mpi::SegRun> sruns(nu);
-    std::vector<mpi::SegRun> rruns(nu);
-    std::vector<mpi::SegView> sviews(nu);
-    std::vector<mpi::SegView> rviews(nu);
-    for (std::size_t m = 0; m < nu; ++m) {
-      sruns[m] = mpi::SegRun{
-          (static_cast<std::size_t>(iter) + m) * ng_w, ng_w, 1};
-      rruns[m] = mpi::SegRun{pack_displs_[m], pack_counts_[m], 1};
-      sviews[m] = mpi::SegView(&sruns[m], 1);
-      rviews[m] = mpi::SegView(&rruns[m], 1);
-    }
-    exchange_view(pack_, psi_arena_.data(), sviews, wb.band_g.data(), rviews,
-                  /*tag=*/iter);
-    return;
+    return {.comm = &pack_, .send = band_data(iter), .recv = wb.band_g.data(),
+            .sviews = psi_views_, .rviews = group_views_};
   }
   {
     FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Pack, iter,
@@ -507,9 +541,228 @@ void BandFftPipeline::do_pack(WorkBuffers& wb, int iter) {
     exchange_metrics().staging_bytes.add(static_cast<std::size_t>(ntg) *
                                          ng_w * sizeof(cplx));
   }
-  exchange(pack_, wb.pack_send.data(), pack_send_counts_.data(),
-           pack_send_displs_.data(), wb.band_g.data(), pack_counts_.data(),
-           pack_displs_.data(), /*tag=*/iter);
+  return {.comm = &pack_, .send = wb.pack_send.data(),
+          .recv = wb.band_g.data(), .scounts = pack_send_counts_.data(),
+          .sdispls = pack_send_displs_.data(), .rcounts = pack_counts_.data(),
+          .rdispls = pack_displs_.data()};
+}
+
+BandFftPipeline::Transpose BandFftPipeline::scatter_fw_before(
+    WorkBuffers& wb, int iter) {
+  if (abft_ != nullptr) {
+    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
+                   trace::copy_cost(wb.pencil.size()).instructions);
+    abft_->check_pencil(wb.abft, wb.pencil.data(), wb.pencil.size());
+  }
+  if (fused_) {
+    // Zero-copy scatter: the exchange reads stick sections straight out of
+    // the pencil buffer and lands them at each stick's (x, y) column of
+    // the zero-filled planes -- both marshalling passes are gone.
+    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Scatter, iter,
+                   trace::copy_cost(wb.planes.size()).instructions);
+    std::fill(wb.planes.begin(), wb.planes.end(), cplx{0.0, 0.0});
+    return {.comm = &scat_, .send = wb.pencil.data(), .recv = wb.planes.data(),
+            .sviews = pencil_views_, .rviews = plane_views_};
+  }
+  {  // Marshal pencil sections per destination rank: [peer][stick][iz].
+    trace::ScopedSpan span(tracer_, w_, trace_tid(),
+                           trace::PhaseKind::Scatter, iter);
+    StagingTimer staging_timer;
+    const std::size_t nz = desc_->dims().nz;
+    const std::size_t nst = desc_->nsticks_group(b_);
+    std::size_t pos = 0;
+    for (int p = 0; p < desc_->group_size(); ++p) {
+      const std::size_t first = desc_->first_plane(p);
+      const std::size_t count = desc_->npz(p);
+      for (std::size_t s = 0; s < nst; ++s) {
+        const cplx* src = wb.pencil.data() + s * nz + first;
+        std::copy(src, src + count, wb.stage.data() + pos);
+        pos += count;
+      }
+    }
+    span.set_instructions(trace::copy_cost(pos).instructions);
+    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
+  }
+  return {.comm = &scat_, .send = wb.stage.data(),
+          .recv = wb.plane_stage.data(), .scounts = scat_send_counts_.data(),
+          .sdispls = scat_send_displs_.data(),
+          .rcounts = scat_recv_counts_.data(),
+          .rdispls = scat_recv_displs_.data()};
+}
+
+void BandFftPipeline::scatter_fw_after(WorkBuffers& wb, int iter) {
+  if (!fused_) {  // Unmarshal into zero-filled planes at each stick's (x, y).
+    trace::ScopedSpan span(tracer_, w_, trace_tid(),
+                           trace::PhaseKind::Scatter, iter);
+    StagingTimer staging_timer;
+    const std::size_t npz_b = desc_->npz(b_);
+    const std::size_t nxny = desc_->dims().plane();
+    std::fill(wb.planes.begin(), wb.planes.end(), cplx{0.0, 0.0});
+    std::size_t pos = 0;
+    for (int q = 0; q < desc_->group_size(); ++q) {
+      for (std::size_t s : desc_->group_sticks(q)) {
+        const std::size_t xy = desc_->stick_xy(s);
+        for (std::size_t iz = 0; iz < npz_b; ++iz) {
+          wb.planes[iz * nxny + xy] = wb.plane_stage[pos++];
+        }
+      }
+    }
+    span.set_instructions(
+        trace::copy_cost(wb.planes.size() + pos).instructions);
+    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
+  }
+  if (abft_ != nullptr) {
+    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
+                   trace::copy_cost(wb.planes.size()).instructions);
+    // The forward scatter ships the whole pencil (every stick section goes
+    // to exactly one peer), so the sent energy is the post-Z pencil energy
+    // z_verify already computed; the received energy lands with the next
+    // xy_capture pass over the planes.
+    std::size_t elems = 0;
+    for (std::size_t c : scat_recv_counts_) elems += c;
+    abft_->exchange_send(wb.abft, wb.abft.z_e_post, elems, 0);
+    abft_->seal_planes(wb.abft, wb.planes.data(), wb.planes.size());
+  }
+  flip(wb.planes.data(), wb.planes.size());
+}
+
+BandFftPipeline::Transpose BandFftPipeline::scatter_bw_before(
+    WorkBuffers& wb, int iter) {
+  if (abft_ != nullptr) {
+    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
+                   trace::copy_cost(wb.planes.size()).instructions);
+    abft_->check_planes(wb.abft, wb.planes.data(), wb.planes.size());
+    // Only the sphere's stick columns travel back (the dense grid between
+    // sticks stays local), so sent energy is the stick-column energy, and
+    // the received data covers the pencil exactly once.
+    wb.abft.bw_e_send = abft_->stick_energy(wb.planes.data());
+  }
+  if (fused_) {
+    // The forward layouts with the sides swapped: (x, y) columns of the
+    // planes go back to stick sections of the pencil, which is covered
+    // exactly once (no zero fill needed).
+    return {.comm = &scat_, .send = wb.planes.data(), .recv = wb.pencil.data(),
+            .sviews = plane_views_, .rviews = pencil_views_};
+  }
+  {  // Marshal plane sticks back: exact reverse of the forward unmarshal.
+    trace::ScopedSpan span(tracer_, w_, trace_tid(),
+                           trace::PhaseKind::Scatter, iter);
+    StagingTimer staging_timer;
+    const std::size_t npz_b = desc_->npz(b_);
+    const std::size_t nxny = desc_->dims().plane();
+    std::size_t pos = 0;
+    for (int q = 0; q < desc_->group_size(); ++q) {
+      for (std::size_t s : desc_->group_sticks(q)) {
+        const std::size_t xy = desc_->stick_xy(s);
+        for (std::size_t iz = 0; iz < npz_b; ++iz) {
+          wb.plane_stage[pos++] = wb.planes[iz * nxny + xy];
+        }
+      }
+    }
+    span.set_instructions(trace::copy_cost(pos).instructions);
+    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
+  }
+  // Counts swap relative to the forward scatter.
+  return {.comm = &scat_, .send = wb.plane_stage.data(),
+          .recv = wb.stage.data(), .scounts = scat_recv_counts_.data(),
+          .sdispls = scat_recv_displs_.data(),
+          .rcounts = scat_send_counts_.data(),
+          .rdispls = scat_send_displs_.data()};
+}
+
+void BandFftPipeline::scatter_bw_after(WorkBuffers& wb, int iter) {
+  if (!fused_) {  // Unmarshal pencil sections: reverse of the forward marshal.
+    trace::ScopedSpan span(tracer_, w_, trace_tid(),
+                           trace::PhaseKind::Scatter, iter);
+    StagingTimer staging_timer;
+    const std::size_t nz = desc_->dims().nz;
+    const std::size_t nst = desc_->nsticks_group(b_);
+    std::size_t pos = 0;
+    for (int p = 0; p < desc_->group_size(); ++p) {
+      const std::size_t first = desc_->first_plane(p);
+      const std::size_t count = desc_->npz(p);
+      for (std::size_t s = 0; s < nst; ++s) {
+        cplx* dst = wb.pencil.data() + s * nz + first;
+        std::copy(wb.stage.data() + pos, wb.stage.data() + pos + count, dst);
+        pos += count;
+      }
+    }
+    span.set_instructions(trace::copy_cost(pos).instructions);
+    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
+  }
+  if (abft_ != nullptr) {
+    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
+                   trace::copy_cost(wb.pencil.size()).instructions);
+    // The received energy is the pre-FFT pencil energy the Z stage's
+    // checksum capture accumulates anyway; z_verify settles the record.
+    abft_->exchange_send(wb.abft, wb.abft.bw_e_send, wb.pencil.size(), 1);
+    abft_->seal_pencil(wb.abft, wb.pencil.data(), wb.pencil.size());
+  }
+  flip(wb.pencil.data(), wb.pencil.size());
+}
+
+BandFftPipeline::Transpose BandFftPipeline::unpack_before(WorkBuffers& wb,
+                                                          int iter) {
+  const double inv_vol = 1.0 / static_cast<double>(desc_->dims().volume());
+  const auto pidx = desc_->pencil_index(b_);
+  if (abft_ != nullptr) {
+    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
+                   trace::copy_cost(wb.pencil.size()).instructions);
+    abft_->check_pencil(wb.abft, wb.pencil.data(), wb.pencil.size());
+  }
+  FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Unpack, iter,
+                 trace::copy_cost(pidx.size()).instructions);
+  if (desc_->ntg() == 1) {
+    // Inverse of the ntg == 1 pack shortcut: rescale straight into psi,
+    // applying the wire round-trip the multi-group unpack exchange would
+    // (see pack_before; a one-group replay must be bit-identical to the
+    // original decomposition's output at every wire format).
+    cplx* dst = band_data(iter);
+    if (cfg_.wire_format == mpi::WireFormat::Fp64) {
+      for (std::size_t k = 0; k < pidx.size(); ++k) {
+        dst[k] = wb.pencil[pidx[k]] * inv_vol;
+      }
+    } else {
+      for (std::size_t k = 0; k < pidx.size(); ++k) {
+        dst[k] = wire_q(cfg_.wire_format, wb.pencil[pidx[k]] * inv_vol);
+      }
+    }
+    return {};
+  }
+  for (std::size_t k = 0; k < pidx.size(); ++k) {
+    wb.band_g[k] = wb.pencil[pidx[k]] * inv_vol;
+  }
+  if (fused_) {
+    // Reverse zero-copy pack: member m's segment of band_g scatters
+    // straight into band iter + m of the psi arena.
+    return {.comm = &pack_, .send = wb.band_g.data(), .recv = band_data(iter),
+            .sviews = group_views_, .rviews = psi_views_};
+  }
+  // Reverse band redistribution: segment m of band_g returns to member m.
+  return {.comm = &pack_, .send = wb.band_g.data(),
+          .recv = wb.pack_send.data(), .scounts = pack_counts_.data(),
+          .sdispls = pack_displs_.data(), .rcounts = pack_send_counts_.data(),
+          .rdispls = pack_send_displs_.data()};
+}
+
+void BandFftPipeline::unpack_after(WorkBuffers& wb, int iter) {
+  const int ntg = desc_->ntg();
+  if (ntg > 1 && !fused_) {
+    const std::size_t ng_w = desc_->ng_world(w_);
+    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Unpack, iter,
+                   trace::copy_cost(static_cast<std::size_t>(ntg) * ng_w)
+                       .instructions);
+    StagingTimer staging_timer;
+    for (int m = 0; m < ntg; ++m) {
+      cplx* dst = band_data(iter + m);
+      const cplx* src =
+          wb.pack_send.data() + static_cast<std::size_t>(m) * ng_w;
+      std::copy(src, src + ng_w, dst);
+    }
+    exchange_metrics().staging_bytes.add(static_cast<std::size_t>(ntg) *
+                                         ng_w * sizeof(cplx));
+  }
+  if (abft_ != nullptr) abft_->finish_iteration(wb.abft);
 }
 
 void BandFftPipeline::do_psi_prep(WorkBuffers& wb, int iter) {
@@ -561,100 +814,6 @@ void BandFftPipeline::do_fft_z(WorkBuffers& wb, int iter, Direction dir,
     abft_->z_verify(wb.abft, wb.pencil.data(), nst, dir);
   }
   flip(wb.pencil.data(), wb.pencil.size());
-}
-
-void BandFftPipeline::do_scatter_forward(WorkBuffers& wb, int iter) {
-  const std::size_t nz = desc_->dims().nz;
-  const std::size_t nst = desc_->nsticks_group(b_);
-  const std::size_t npz_b = desc_->npz(b_);
-  const std::size_t nxny = desc_->dims().plane();
-  const int rgroup = desc_->group_size();
-
-  if (abft_ != nullptr) {
-    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
-                   trace::copy_cost(wb.pencil.size()).instructions);
-    abft_->check_pencil(wb.abft, wb.pencil.data(), wb.pencil.size());
-  }
-  auto abft_done = [&] {
-    if (abft_ != nullptr) {
-      FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
-                     trace::copy_cost(wb.planes.size()).instructions);
-      // The forward scatter ships the whole pencil (every stick section
-      // goes to exactly one peer), so the sent energy is the post-Z pencil
-      // energy z_verify already computed; the received energy lands with
-      // the next xy_capture pass over the planes.
-      std::size_t elems = 0;
-      for (std::size_t c : scat_recv_counts_) elems += c;
-      abft_->exchange_send(wb.abft, wb.abft.z_e_post, elems, 0);
-      abft_->seal_planes(wb.abft, wb.planes.data(), wb.planes.size());
-    }
-    flip(wb.planes.data(), wb.planes.size());
-  };
-
-  if (fused_) {
-    // Zero-copy scatter: the exchange reads stick sections straight out of
-    // the pencil buffer and lands them at each stick's (x, y) column of
-    // the zero-filled planes -- both marshalling passes are gone.
-    const auto ru = static_cast<std::size_t>(rgroup);
-    std::vector<mpi::SegView> sviews(ru);
-    std::vector<mpi::SegView> rviews(ru);
-    for (std::size_t p = 0; p < ru; ++p) {
-      sviews[p] = mpi::SegView(scat_send_runs_[p]);
-      rviews[p] = mpi::SegView(scat_recv_runs_[p]);
-    }
-    {
-      FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Scatter,
-                     iter, trace::copy_cost(wb.planes.size()).instructions);
-      std::fill(wb.planes.begin(), wb.planes.end(), cplx{0.0, 0.0});
-    }
-    exchange_view(scat_, wb.pencil.data(), sviews, wb.planes.data(), rviews,
-                  /*tag=*/iter);
-    abft_done();
-    return;
-  }
-
-  {  // Marshal pencil sections per destination rank: [peer][stick][iz].
-    trace::ScopedSpan span(tracer_, w_, trace_tid(),
-                           trace::PhaseKind::Scatter, iter);
-    StagingTimer staging_timer;
-    std::size_t pos = 0;
-    for (int p = 0; p < rgroup; ++p) {
-      const std::size_t first = desc_->first_plane(p);
-      const std::size_t count = desc_->npz(p);
-      for (std::size_t s = 0; s < nst; ++s) {
-        const cplx* src = wb.pencil.data() + s * nz + first;
-        std::copy(src, src + count, wb.stage.data() + pos);
-        pos += count;
-      }
-    }
-    span.set_instructions(trace::copy_cost(pos).instructions);
-    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
-  }
-
-  exchange(scat_, wb.stage.data(), scat_send_counts_.data(),
-           scat_send_displs_.data(), wb.plane_stage.data(),
-           scat_recv_counts_.data(), scat_recv_displs_.data(),
-           /*tag=*/iter);
-
-  {  // Unmarshal into zero-filled planes at each stick's (x, y).
-    trace::ScopedSpan span(tracer_, w_, trace_tid(),
-                           trace::PhaseKind::Scatter, iter);
-    StagingTimer staging_timer;
-    std::fill(wb.planes.begin(), wb.planes.end(), cplx{0.0, 0.0});
-    std::size_t pos = 0;
-    for (int q = 0; q < rgroup; ++q) {
-      for (std::size_t s : desc_->group_sticks(q)) {
-        const std::size_t xy = desc_->stick_xy(s);
-        for (std::size_t iz = 0; iz < npz_b; ++iz) {
-          wb.planes[iz * nxny + xy] = wb.plane_stage[pos++];
-        }
-      }
-    }
-    span.set_instructions(
-        trace::copy_cost(wb.planes.size() + pos).instructions);
-    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
-  }
-  abft_done();
 }
 
 void BandFftPipeline::do_fft_xy(WorkBuffers& wb, int iter, Direction dir,
@@ -711,95 +870,6 @@ void BandFftPipeline::do_vofr(WorkBuffers& wb, int iter) {
     abft_->seal_planes(wb.abft, wb.planes.data(), wb.planes.size());
   }
   flip(wb.planes.data(), wb.planes.size());
-}
-
-void BandFftPipeline::do_scatter_backward(WorkBuffers& wb, int iter) {
-  const std::size_t nz = desc_->dims().nz;
-  const std::size_t nst = desc_->nsticks_group(b_);
-  const std::size_t npz_b = desc_->npz(b_);
-  const std::size_t nxny = desc_->dims().plane();
-  const int rgroup = desc_->group_size();
-
-  double e_send = 0.0;
-  if (abft_ != nullptr) {
-    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
-                   trace::copy_cost(wb.planes.size()).instructions);
-    abft_->check_planes(wb.abft, wb.planes.data(), wb.planes.size());
-    // Only the sphere's stick columns travel back (the dense grid between
-    // sticks stays local), so sent energy is the stick-column energy, and
-    // the received data covers the pencil exactly once.
-    e_send = abft_->stick_energy(wb.planes.data());
-  }
-  auto abft_done = [&] {
-    if (abft_ != nullptr) {
-      FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
-                     trace::copy_cost(wb.pencil.size()).instructions);
-      // The received energy is the pre-FFT pencil energy the Z stage's
-      // checksum capture accumulates anyway; z_verify settles the record.
-      abft_->exchange_send(wb.abft, e_send, wb.pencil.size(), 1);
-      abft_->seal_pencil(wb.abft, wb.pencil.data(), wb.pencil.size());
-    }
-    flip(wb.pencil.data(), wb.pencil.size());
-  };
-
-  if (fused_) {
-    // The forward layouts with the sides swapped: (x, y) columns of the
-    // planes go back to stick sections of the pencil, which is covered
-    // exactly once (no zero fill needed).
-    const auto ru = static_cast<std::size_t>(rgroup);
-    std::vector<mpi::SegView> sviews(ru);
-    std::vector<mpi::SegView> rviews(ru);
-    for (std::size_t p = 0; p < ru; ++p) {
-      sviews[p] = mpi::SegView(scat_recv_runs_[p]);
-      rviews[p] = mpi::SegView(scat_send_runs_[p]);
-    }
-    exchange_view(scat_, wb.planes.data(), sviews, wb.pencil.data(), rviews,
-                  /*tag=*/iter);
-    abft_done();
-    return;
-  }
-
-  {  // Marshal plane sticks back: exact reverse of the forward unmarshal.
-    trace::ScopedSpan span(tracer_, w_, trace_tid(),
-                           trace::PhaseKind::Scatter, iter);
-    StagingTimer staging_timer;
-    std::size_t pos = 0;
-    for (int q = 0; q < rgroup; ++q) {
-      for (std::size_t s : desc_->group_sticks(q)) {
-        const std::size_t xy = desc_->stick_xy(s);
-        for (std::size_t iz = 0; iz < npz_b; ++iz) {
-          wb.plane_stage[pos++] = wb.planes[iz * nxny + xy];
-        }
-      }
-    }
-    span.set_instructions(trace::copy_cost(pos).instructions);
-    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
-  }
-
-  // Counts swap relative to the forward scatter.
-  exchange(scat_, wb.plane_stage.data(), scat_recv_counts_.data(),
-           scat_recv_displs_.data(), wb.stage.data(),
-           scat_send_counts_.data(), scat_send_displs_.data(),
-           /*tag=*/iter);
-
-  {  // Unmarshal pencil sections: reverse of the forward marshal.
-    trace::ScopedSpan span(tracer_, w_, trace_tid(),
-                           trace::PhaseKind::Scatter, iter);
-    StagingTimer staging_timer;
-    std::size_t pos = 0;
-    for (int p = 0; p < rgroup; ++p) {
-      const std::size_t first = desc_->first_plane(p);
-      const std::size_t count = desc_->npz(p);
-      for (std::size_t s = 0; s < nst; ++s) {
-        cplx* dst = wb.pencil.data() + s * nz + first;
-        std::copy(wb.stage.data() + pos, wb.stage.data() + pos + count, dst);
-        pos += count;
-      }
-    }
-    span.set_instructions(trace::copy_cost(pos).instructions);
-    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
-  }
-  abft_done();
 }
 
 void BandFftPipeline::do_fft_z_scatter_fw(WorkBuffers& wb, int iter,
@@ -1010,13 +1080,10 @@ void BandFftPipeline::do_scatter_bw_fft_z(WorkBuffers& wb, int iter,
   abft_done();
 }
 
-void BandFftPipeline::do_unpack(WorkBuffers& wb, int iter) {
-  const int ntg = desc_->ntg();
-  const std::size_t ng_w = desc_->ng_world(w_);
-  const double inv_vol = 1.0 / static_cast<double>(desc_->dims().volume());
-  // Unpack is the iteration's last step in every mode; the guard reports
-  // this rank done on each of the three exits (and on an unwinding one --
-  // a rank that threw is still finished with the iteration).
+void BandFftPipeline::do_iteration(WorkBuffers& wb, int iter,
+                                   bool use_taskloop) {
+  // The observatory hears the iteration end on every exit (a rank that
+  // threw is still finished with the iteration).
   struct ObsDone {
     int rank;
     int iter;
@@ -1026,90 +1093,13 @@ void BandFftPipeline::do_unpack(WorkBuffers& wb, int iter) {
       }
     }
   } obs_done{w_, iter};
-  if (abft_ != nullptr) {
-    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
-                   trace::copy_cost(wb.pencil.size()).instructions);
-    abft_->check_pencil(wb.abft, wb.pencil.data(), wb.pencil.size());
-  }
-  if (ntg == 1) {
-    // Inverse of the ntg == 1 pack shortcut: rescale straight into psi,
-    // applying the wire round-trip the multi-group unpack exchange would
-    // (see do_pack; a one-group replay must be bit-identical to the
-    // original decomposition's output at every wire format).
-    const auto pidx = desc_->pencil_index(b_);
-    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Unpack, iter,
-                   trace::copy_cost(pidx.size()).instructions);
-    cplx* dst = band_data(iter);
-    if (cfg_.wire_format == mpi::WireFormat::Fp64) {
-      for (std::size_t k = 0; k < pidx.size(); ++k) {
-        dst[k] = wb.pencil[pidx[k]] * inv_vol;
-      }
-    } else {
-      for (std::size_t k = 0; k < pidx.size(); ++k) {
-        dst[k] = wire_q(cfg_.wire_format, wb.pencil[pidx[k]] * inv_vol);
-      }
-    }
-    if (abft_ != nullptr) abft_->finish_iteration(wb.abft);
-    return;
-  }
-  {
-    const auto pidx = desc_->pencil_index(b_);
-    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Unpack, iter,
-                   trace::copy_cost(pidx.size()).instructions);
-    for (std::size_t k = 0; k < pidx.size(); ++k) {
-      wb.band_g[k] = wb.pencil[pidx[k]] * inv_vol;
-    }
-  }
-  if (fused_) {
-    // Reverse zero-copy pack: member m's segment of band_g scatters
-    // straight into band iter + m of the psi arena.
-    const auto nu = static_cast<std::size_t>(ntg);
-    std::vector<mpi::SegRun> sruns(nu);
-    std::vector<mpi::SegRun> rruns(nu);
-    std::vector<mpi::SegView> sviews(nu);
-    std::vector<mpi::SegView> rviews(nu);
-    for (std::size_t m = 0; m < nu; ++m) {
-      sruns[m] = mpi::SegRun{pack_displs_[m], pack_counts_[m], 1};
-      rruns[m] = mpi::SegRun{
-          (static_cast<std::size_t>(iter) + m) * ng_w, ng_w, 1};
-      sviews[m] = mpi::SegView(&sruns[m], 1);
-      rviews[m] = mpi::SegView(&rruns[m], 1);
-    }
-    exchange_view(pack_, wb.band_g.data(), sviews, psi_arena_.data(), rviews,
-                  /*tag=*/iter);
-    if (abft_ != nullptr) abft_->finish_iteration(wb.abft);
-    return;
-  }
-  // Reverse band redistribution: segment m of band_g returns to member m.
-  exchange(pack_, wb.band_g.data(), pack_counts_.data(), pack_displs_.data(),
-           wb.pack_send.data(), pack_send_counts_.data(),
-           pack_send_displs_.data(), /*tag=*/iter);
-  {
-    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Unpack, iter,
-                   trace::copy_cost(static_cast<std::size_t>(ntg) * ng_w)
-                       .instructions);
-    StagingTimer staging_timer;
-    for (int m = 0; m < ntg; ++m) {
-      cplx* dst = band_data(iter + m);
-      const cplx* src =
-          wb.pack_send.data() + static_cast<std::size_t>(m) * ng_w;
-      std::copy(src, src + ng_w, dst);
-    }
-    exchange_metrics().staging_bytes.add(static_cast<std::size_t>(ntg) *
-                                         ng_w * sizeof(cplx));
-  }
-  if (abft_ != nullptr) abft_->finish_iteration(wb.abft);
-}
-
-void BandFftPipeline::do_iteration(WorkBuffers& wb, int iter,
-                                   bool use_taskloop) {
-  do_pack(wb, iter);
+  do_exchange(kPack, wb, iter);
   do_psi_prep(wb, iter);
   if (overlap_) {
     do_fft_z_scatter_fw(wb, iter, use_taskloop);
   } else {
     do_fft_z(wb, iter, Direction::Backward, use_taskloop);
-    do_scatter_forward(wb, iter);
+    do_exchange(kScatterFw, wb, iter);
   }
   do_fft_xy(wb, iter, Direction::Backward, use_taskloop);
   if (cfg_.apply_potential) do_vofr(wb, iter);
@@ -1117,10 +1107,10 @@ void BandFftPipeline::do_iteration(WorkBuffers& wb, int iter,
   if (overlap_) {
     do_scatter_bw_fft_z(wb, iter, use_taskloop);
   } else {
-    do_scatter_backward(wb, iter);
+    do_exchange(kScatterBw, wb, iter);
     do_fft_z(wb, iter, Direction::Forward, use_taskloop);
   }
-  do_unpack(wb, iter);
+  do_exchange(kUnpack, wb, iter);
 }
 
 namespace {
@@ -1150,163 +1140,11 @@ void BandFftPipeline::throw_deadline(int iter) const {
 }
 
 void BandFftPipeline::run_original() {
-  auto wb = make_buffers();
+  const BorrowedBuffers wb = acquire_buffers();
   for (int iter = 0; iter < npsi_; iter += desc_->ntg()) {
     if (deadline_expired_collective(iter)) throw_deadline(iter);
     do_iteration(*wb, iter, /*use_taskloop=*/false);
   }
-}
-
-void BandFftPipeline::run_task_per_fft(bool use_taskloop) {
-  for (int iter = 0; iter < npsi_; iter += desc_->ntg()) {
-    if (deadline_expired_collective(iter)) {
-      // Same verdict on every rank: all stop submitting here and drain the
-      // in-flight iterations (whose collectives need all ranks' workers)
-      // before throwing, so the communicator stays healthy.
-      rt_->taskwait();
-      throw_deadline(iter);
-    }
-    rt_->submit(core::cat("band_fft#", iter), [this, iter, use_taskloop] {
-      WorkBuffers* wb = acquire_buffers();
-      do_iteration(*wb, iter, use_taskloop);
-      release_buffers(wb);
-    });
-  }
-  rt_->taskwait();
-}
-
-void BandFftPipeline::run_task_per_step() {
-  const int ntg = desc_->ntg();
-  std::vector<std::unique_ptr<WorkBuffers>> live;
-  live.reserve(static_cast<std::size_t>(npsi_ / ntg));
-
-  // Sliding iteration window.  Unlike TaskPerFft (where one task holds one
-  // worker for a whole band, bounding the skew between ranks), the step
-  // tasks let a rank race arbitrarily far ahead on later iterations; two
-  // ranks can then block all their workers in collectives of *disjoint*
-  // iteration sets and deadlock.  Capping in-flight iterations at the
-  // worker count keeps the cross-rank skew at one iteration, which makes
-  // the blocked collective sets intersect -- and some instance always
-  // completes.  (OmpSs bounds its task window for the same reason.)
-  const int window = cfg_.nthreads;
-  std::mutex window_mu;
-  std::condition_variable window_cv;
-  int completed_iterations = 0;
-
-  int index = 0;
-  for (int iter = 0; iter < npsi_; iter += ntg, ++index) {
-    if (deadline_expired_collective(iter)) {
-      rt_->taskwait();
-      throw_deadline(iter);
-    }
-    if (index >= window) {
-      std::unique_lock lock(window_mu);
-      window_cv.wait(lock, [&] {
-        return completed_iterations >= index - window + 1;
-      });
-    }
-    live.push_back(make_buffers());
-    WorkBuffers* wb = live.back().get();
-
-    // Dependency clauses follow the paper's Fig. 4: the band slices of
-    // psi stand for `psis`, pencil/planes for `aux`.
-    std::vector<task::Dep> psi_in;
-    std::vector<task::Dep> psi_out;
-    const std::size_t ng_w = desc_->ng_world(w_);
-    for (int m = 0; m < ntg; ++m) {
-      const std::span<cplx> band{band_data(iter + m), ng_w};
-      psi_in.push_back(task::in(std::span<const cplx>(band)));
-      psi_out.push_back(task::out(band));
-    }
-    const auto band_g = std::span<cplx>(wb->band_g);
-    const auto pencil = std::span<cplx>(wb->pencil);
-    const auto planes = std::span<cplx>(wb->planes);
-
-    auto deps = psi_in;
-    deps.push_back(task::out(band_g));
-    rt_->submit(core::cat("pack#", iter), std::move(deps),
-                [this, wb, iter] { do_pack(*wb, iter); });
-
-    rt_->submit(core::cat("psi_prep#", iter),
-                {task::in(std::span<const cplx>(wb->band_g)),
-                 task::out(pencil)},
-                [this, wb, iter] { do_psi_prep(*wb, iter); });
-
-    if (overlap_) {
-      // The overlapped leg interleaves the Z-FFT chunks with their
-      // scatters, so both live in one task (pencil in flight the whole
-      // time, planes produced at the end).
-      rt_->submit(core::cat("fft_z_scatter_fw#", iter),
-                  {task::inout(pencil), task::out(planes)},
-                  [this, wb, iter] { do_fft_z_scatter_fw(*wb, iter, true); });
-    } else {
-      rt_->submit(core::cat("fft_z_fw#", iter), {task::inout(pencil)},
-                  [this, wb, iter] {
-                    do_fft_z(*wb, iter, Direction::Backward, true);
-                  });
-
-      rt_->submit(core::cat("scatter_fw#", iter),
-                  {task::in(std::span<const cplx>(wb->pencil)),
-                   task::out(planes)},
-                  [this, wb, iter] { do_scatter_forward(*wb, iter); });
-    }
-
-    rt_->submit(core::cat("fft_xy_fw#", iter), {task::inout(planes)},
-                [this, wb, iter] {
-                  do_fft_xy(*wb, iter, Direction::Backward, true);
-                });
-
-    if (cfg_.apply_potential) {
-      rt_->submit(core::cat("vofr#", iter), {task::inout(planes)},
-                  [this, wb, iter] { do_vofr(*wb, iter); });
-    }
-
-    rt_->submit(core::cat("fft_xy_bw#", iter), {task::inout(planes)},
-                [this, wb, iter] {
-                  do_fft_xy(*wb, iter, Direction::Forward, true);
-                });
-
-    if (overlap_) {
-      rt_->submit(core::cat("scatter_bw_fft_z#", iter),
-                  {task::in(std::span<const cplx>(wb->planes)),
-                   task::out(pencil)},
-                  [this, wb, iter] { do_scatter_bw_fft_z(*wb, iter, true); });
-    } else {
-      rt_->submit(core::cat("scatter_bw#", iter),
-                  {task::in(std::span<const cplx>(wb->planes)),
-                   task::out(pencil)},
-                  [this, wb, iter] { do_scatter_backward(*wb, iter); });
-
-      rt_->submit(core::cat("fft_z_bw#", iter), {task::inout(pencil)},
-                  [this, wb, iter] {
-                    do_fft_z(*wb, iter, Direction::Forward, true);
-                  });
-    }
-
-    deps = psi_out;
-    deps.push_back(task::in(std::span<const cplx>(wb->pencil)));
-    deps.push_back(task::inout(band_g));
-    rt_->submit(core::cat("unpack#", iter), std::move(deps),
-                [this, wb, iter, &window_mu, &window_cv,
-                 &completed_iterations] {
-                  // Signal the window even if unpack throws, or the
-                  // orchestrator would wait forever on a failed iteration.
-                  struct Signal {
-                    std::mutex& mu;
-                    std::condition_variable& cv;
-                    int& count;
-                    ~Signal() {
-                      {
-                        std::lock_guard lock(mu);
-                        ++count;
-                      }
-                      cv.notify_all();
-                    }
-                  } signal{window_mu, window_cv, completed_iterations};
-                  do_unpack(*wb, iter);
-                });
-  }
-  rt_->taskwait();
 }
 
 double BandFftPipeline::run() {
@@ -1327,22 +1165,10 @@ double BandFftPipeline::run() {
                    expected_phase_shares(*desc_, w_, b_, cfg_));
   }
   WallTimer timer;
-  switch (cfg_.mode) {
-    case PipelineMode::Original:
-      run_original();
-      break;
-    case PipelineMode::TaskPerStep:
-      run_task_per_step();
-      break;
-    case PipelineMode::TaskPerFft:
-      run_task_per_fft(/*use_taskloop=*/false);
-      break;
-    case PipelineMode::Combined:
-      run_task_per_fft(/*use_taskloop=*/true);
-      break;
-    case PipelineMode::Streaming:
-      run_streaming();
-      break;
+  if (cfg_.mode == PipelineMode::Original) {
+    run_original();
+  } else {
+    StreamExecutor(*this).run();
   }
   if (abft_ != nullptr) {
     // Collective verdict: every rank leaves with the same corrupted-band

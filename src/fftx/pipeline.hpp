@@ -23,25 +23,26 @@
 // reciprocal, engine Forward scaled by 1/N at unpack -- QE's invfft/fwfft
 // convention.)
 //
-// Execution modes:
-//   Original    -- the reference synchronous loop (Fig. 1);
-//   TaskPerStep -- every step above is a dependent task; FFT steps fan out
-//                  further through taskloop (paper Fig. 4, strategy 1:
-//                  overlap communication with computation);
-//   TaskPerFft  -- every iteration is one independent task scheduled over
-//                  the worker threads that replace the FFT task groups
-//                  (paper Fig. 5, strategy 2: de-synchronize compute
-//                  phases to soften resource contention);
-//   Combined    -- the paper's future-work item: TaskPerFft outer tasks
-//                  whose FFT steps also taskloop across idle workers.
-//   Streaming   -- band-dataflow executor (stream.hpp): N band iterations
-//                  in flight across the full pipeline, each stage a
-//                  dependent task over a bounded ring of N buffer slots;
-//                  when the fused layouts are on, the transpose exchanges
-//                  split into a nonblocking post task and a completion-
-//                  waitable task, so band k+1's Z-FFT runs while band k's
-//                  scatter is on the wire.  FFTX_STREAM_BANDS sets N
-//                  (N = 1 recovers the staged strategies).
+// Execution modes -- one inline loop and four presets of one task executor
+// (StreamExecutor, stream.hpp; DESIGN.md section 17):
+//   Original    -- the reference synchronous loop (Fig. 1), run inline;
+//   TaskPerStep -- every step above is a dependent task, at most nthreads
+//                  iterations in flight; FFT steps fan out further through
+//                  taskloop (paper Fig. 4, strategy 1: overlap
+//                  communication with computation);
+//   TaskPerFft  -- every iteration is one independent task, all submitted
+//                  up front and scheduled over the worker threads that
+//                  replace the FFT task groups (paper Fig. 5, strategy 2:
+//                  de-synchronize compute phases to soften resource
+//                  contention);
+//   Combined    -- the paper's future-work item: TaskPerFft tasks whose
+//                  FFT steps also taskloop across idle workers;
+//   Streaming   -- the step shape with FFTX_STREAM_BANDS = N iterations in
+//                  flight; when the fused layouts are on, each transpose
+//                  exchange splits into a nonblocking post task and a
+//                  completion-waitable task, so band k+1's Z-FFT runs while
+//                  band k's scatter is on the wire (N = 1 recovers the
+//                  staged order).
 //
 // All modes produce bit-identical coefficients (asserted by the tests):
 // the optimizations reorder work, never arithmetic within a band.
@@ -145,8 +146,8 @@ struct PipelineConfig {
   /// the buffer-slot ring; bounded memory and backpressure).  1 recovers
   /// the staged execution order; clamped to the iteration count, and --
   /// when the stage tasks block in collectives (guarded or staged
-  /// exchanges, or stream_nonblocking off) -- to nthreads, for the same
-  /// skew-bounding reason run_task_per_step caps its window.
+  /// exchanges, or stream_nonblocking off) -- to nthreads by the
+  /// executor's blocking-depth rule (DESIGN.md section 17).
   int stream_bands = default_stream_bands();
   /// Streaming mode only: split each fused transpose exchange into a
   /// nonblocking post task and a completion-waitable task, so workers run
@@ -223,12 +224,12 @@ class BandFftPipeline {
   [[nodiscard]] std::vector<int> abft_corrupt_bands() const;
 
  private:
-  // The streaming executor (stream.cpp) drives the same private stage
-  // methods and buffers the built-in modes use, as tasks over a slot ring.
+  // Every task schedule runs through the executor (stream.cpp), which drives
+  // the same private stage methods and buffers as the inline Original loop.
   friend class StreamExecutor;
 
-  /// Per-iteration working storage.  Distinct iterations never share one,
-  /// so buffers carry no cross-iteration dependencies.
+  /// Per-iteration working storage.  Distinct in-flight iterations never
+  /// share one, so buffers carry no cross-iteration dependencies.
   struct WorkBuffers {
     core::aligned_vector<fft::cplx> pack_send;   ///< ntg * ng_w (marshalling)
     core::aligned_vector<fft::cplx> band_g;      ///< my band on group sticks
@@ -239,19 +240,65 @@ class BandFftPipeline {
     AbftGuard::Scratch abft;                     ///< per-iteration ABFT state
   };
 
+  /// The buffer pool is the only owner of WorkBuffers: every schedule
+  /// borrows a set for as long as it needs one, and the deleter returns it.
+  /// Sets live as long as the pipeline, so repeated runs reuse them.
+  struct ReturnBuffers {
+    BandFftPipeline* pipe = nullptr;
+    void operator()(WorkBuffers* wb) const { pipe->release_buffers(wb); }
+  };
+  using BorrowedBuffers = std::unique_ptr<WorkBuffers, ReturnBuffers>;
+  BorrowedBuffers acquire_buffers();
+  void release_buffers(WorkBuffers* wb);
+  std::unique_ptr<WorkBuffers> make_buffers() const;
+
+  /// The transpose an exchange stage's before half leaves ready: fused
+  /// scatter-gather views, or staged buffers with counts and displacements.
+  /// A null comm moves nothing (the ntg == 1 pack and unpack are local).
+  struct Transpose {
+    mpi::Comm* comm = nullptr;
+    const fft::cplx* send = nullptr;
+    fft::cplx* recv = nullptr;
+    std::span<const mpi::SegView> sviews{};  ///< fused layouts
+    std::span<const mpi::SegView> rviews{};
+    const std::size_t* scounts = nullptr;  ///< staged layouts
+    const std::size_t* sdispls = nullptr;
+    const std::size_t* rcounts = nullptr;
+    const std::size_t* rdispls = nullptr;
+  };
+
+  /// An exchange stage, split around its transpose.  `before` runs the
+  /// ABFT checks, the zero fill or rescale and any staged marshal;
+  /// `after` (none for pack) unmarshals, settles the exchange energy,
+  /// seals, flips and -- for unpack -- finishes the iteration.  Blocking
+  /// execution is before, transpose, after (do_exchange); the streaming
+  /// split path posts the transpose nonblocking and runs `after` in the
+  /// completion waitable.
+  struct ExchangeStage {
+    const char* name;
+    Transpose (BandFftPipeline::*before)(WorkBuffers&, int);
+    void (BandFftPipeline::*after)(WorkBuffers&, int);
+  };
+  static const ExchangeStage kPack, kScatterFw, kScatterBw, kUnpack;
+
   void do_iteration(WorkBuffers& wb, int iter, bool use_taskloop);
-  void do_pack(WorkBuffers& wb, int iter);
+  void do_exchange(const ExchangeStage& x, WorkBuffers& wb, int iter);
+  Transpose pack_before(WorkBuffers& wb, int iter);
+  Transpose scatter_fw_before(WorkBuffers& wb, int iter);
+  void scatter_fw_after(WorkBuffers& wb, int iter);
+  Transpose scatter_bw_before(WorkBuffers& wb, int iter);
+  void scatter_bw_after(WorkBuffers& wb, int iter);
+  Transpose unpack_before(WorkBuffers& wb, int iter);
+  void unpack_after(WorkBuffers& wb, int iter);
+
   void do_psi_prep(WorkBuffers& wb, int iter);
   void fft_z_range(WorkBuffers& wb, int iter, fft::Direction dir,
                    std::size_t lo, std::size_t hi);
   void do_fft_z(WorkBuffers& wb, int iter, fft::Direction dir,
                 bool use_taskloop);
-  void do_scatter_forward(WorkBuffers& wb, int iter);
   void do_fft_xy(WorkBuffers& wb, int iter, fft::Direction dir,
                  bool use_taskloop);
   void do_vofr(WorkBuffers& wb, int iter);
-  void do_scatter_backward(WorkBuffers& wb, int iter);
-  void do_unpack(WorkBuffers& wb, int iter);
 
   /// Overlapped forward leg: Z-FFT stick chunks, each finished chunk's
   /// scatter posted nonblocking while the next chunk transforms.
@@ -261,9 +308,6 @@ class BandFftPipeline {
   void do_scatter_bw_fft_z(WorkBuffers& wb, int iter, bool use_taskloop);
 
   void run_original();
-  void run_task_per_fft(bool use_taskloop);
-  void run_task_per_step();
-  void run_streaming();  // defined in stream.cpp
 
   /// Collective deadline verdict at a band-iteration boundary (all ranks
   /// call with the same `iter`): true when any rank's clock says the budget
@@ -284,8 +328,6 @@ class BandFftPipeline {
                      std::span<const mpi::SegView> sviews,
                      fft::cplx* recv_base,
                      std::span<const mpi::SegView> rviews, int tag);
-
-  std::unique_ptr<WorkBuffers> make_buffers() const;
 
   /// Compute bit-flip injection hook (FFTX_FAULT_FLIP_*): offers the stage
   /// output buffer to the fault injector.  Called at every stage boundary
@@ -344,6 +386,14 @@ class BandFftPipeline {
   // stick-ordered, so an overlap chunk's views are contiguous sub-slices.
   std::vector<std::vector<mpi::SegRun>> scat_send_runs_;  // [peer][stick]
   std::vector<std::vector<mpi::SegRun>> scat_recv_runs_;  // [peer][stick]
+  // Fused pack layouts: member m's band of the iteration, relative to
+  // band_data(iter), and member m's segment of band_g.
+  std::vector<mpi::SegRun> psi_runs_;    // [member]
+  std::vector<mpi::SegRun> group_runs_;  // [member]
+  // One view per peer over the runs above, shared by every fused transpose
+  // (the backward scatter and the unpack swap the sides).
+  std::vector<mpi::SegView> pencil_views_, plane_views_;  // scatters
+  std::vector<mpi::SegView> psi_views_, group_views_;     // pack, unpack
 
   std::unique_ptr<task::TaskRuntime> rt_;  // task modes only
 
@@ -353,10 +403,8 @@ class BandFftPipeline {
   mpi::FaultInjector* flip_ = nullptr;  // non-null iff flips configured
   int wrank_ = 0;  ///< original world rank (stable across comm shrink)
 
-  // Reusable per-task buffer sets (TaskPerFft/Combined: at most nthreads
-  // iterations are in flight, so the pool never blocks).
-  WorkBuffers* acquire_buffers();
-  void release_buffers(WorkBuffers* wb);
+  // Idle buffer sets (see acquire_buffers; never blocks -- an empty pool
+  // allocates).
   std::mutex pool_mu_;
   std::vector<std::unique_ptr<WorkBuffers>> pool_;
 };

@@ -1,23 +1,31 @@
-// Streaming band-dataflow executor: N band iterations in flight across the
-// full pipeline (PipelineMode::Streaming; DESIGN.md section 17).
+// The task executor: every task schedule of the band loop (DESIGN.md
+// section 17).  Original runs inline in pipeline.cpp; the other four modes
+// are presets of this one executor:
 //
-// The built-in task modes bound concurrency structurally: TaskPerStep keeps
-// a window of `nthreads` iterations whose exchange tasks still *block* a
-// worker for the whole collective, and the overlap mode hides traffic only
-// within one band's forward/backward leg.  The streaming executor instead
-// expresses every stage of every band iteration as a dependency-clause task
-// over a bounded ring of FFTX_STREAM_BANDS buffer slots, and -- when the
-// fused view layouts are on -- splits each transpose exchange into
+//   mode         task shape                  in flight         taskloop
+//   TaskPerStep  one task per stage          min(nthreads, I)  yes
+//   TaskPerFft   one task per iteration      work-conserving   no
+//   Combined     one task per iteration      work-conserving   yes
+//   Streaming    one task per stage          stream_bands      no
 //
-//   post task      (nonblocking ialltoallv_view; returns immediately)
-//   waitable task  (TaskRuntime::submit_waitable; parks until complete)
+// (I = iterations.)  Stage tasks of one iteration form a linear chain
+// through a one-byte slot token (`inout(slot.token)`) over a ring of
+// buffer slots; the same token serializes iteration i + depth behind
+// iteration i (write-after-write on the reused slot), which is the memory
+// bound and the backpressure.  Per-iteration tasks are all submitted up
+// front and borrow a buffer set from the pipeline's pool when they start.
+//
+// Exchanges block inside their stage task, except under Streaming with the
+// fused view layouts on (and neither guards nor FFTX_STREAM_NB=0): there
+// each exchange stage splits into
+//
+//   post task      (before half + nonblocking ialltoallv_view)
+//   waitable task  (TaskRuntime::submit_waitable; parks until complete,
+//                   then runs the after half)
 //
 // so no worker is ever pinned inside a collective: while band k's scatter
 // is on the wire, the workers run band k+1's forward Z-FFT and band k-1's
-// backward leg.  Dependencies per iteration form a linear chain through a
-// one-byte slot token (`inout(slot.token)`); the same token serializes
-// iteration i + N behind iteration i (write-after-write on the reused
-// slot), which is the memory bound and the backpressure.
+// backward leg.
 //
 // Ordering and deadlock freedom: every rank submits the same tasks in the
 // same order, the chain forces in-iteration program order, and exchanges of
@@ -30,16 +38,18 @@
 // non-blocking predecessors), so it always completes.  Waits that park
 // *after* the blocking slot was claimed still make progress because idle
 // workers keep nonblocking completion sweeps running while the slot is
-// held (see TaskRuntime::worker_loop).  In the blocking
-// fallback (guarded or staged exchanges, or FFTX_STREAM_NB=0) the depth is
-// additionally capped at nthreads -- the run_task_per_step window argument.
+// held (see TaskRuntime::worker_loop).  Blocking stage tasks obey the
+// blocking-depth rule: at most nthreads iterations in flight, so two ranks
+// can never pin all their workers in collectives of disjoint iteration
+// sets.  Per-iteration tasks hold one worker for a whole band, so FIFO
+// dispatch alone bounds the cross-rank skew.
 //
-// Error handling: the first failing task captures its exception and
-// revokes the world communicator, which unwinds every peer's in-flight
-// collective; after the drain the *original* exception (FaultError,
-// SdcError, ...) is rethrown so the RecoveryDriver's type dispatch sees
-// exactly what the staged modes would throw.  N = 1 recovers the staged
-// execution order; every depth is bit-identical to the Original oracle.
+// Failure handling is the same for every schedule: the first failing task
+// captures its exception and revokes the world communicator, which unwinds
+// every peer's in-flight collective; after the drain the *original*
+// exception (FaultError, SdcError, ...) is rethrown, so the RecoveryDriver's
+// type dispatch sees exactly what Original would throw.  Every schedule is
+// bit-identical to the Original oracle.
 #pragma once
 
 #include <atomic>
@@ -47,7 +57,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "fftx/pipeline.hpp"
@@ -55,8 +64,8 @@
 
 namespace fx::fftx {
 
-/// One run() of a Streaming-mode pipeline.  Constructed and driven by
-/// BandFftPipeline::run_streaming() on every rank; not reusable.
+/// One run() of a task-schedule pipeline.  Constructed and driven by
+/// BandFftPipeline::run() on every rank; not reusable.
 class StreamExecutor {
  public:
   explicit StreamExecutor(BandFftPipeline& pipe);
@@ -65,53 +74,56 @@ class StreamExecutor {
   StreamExecutor(const StreamExecutor&) = delete;
   StreamExecutor& operator=(const StreamExecutor&) = delete;
 
-  /// Submits all band iterations over the slot ring and drains them.
+  /// Submits all band iterations under the mode's preset and drains them.
   void run();
 
  private:
-  /// One ring entry: an iteration's working buffers plus the state of its
-  /// (single) in-flight exchange between a post task and its waitable.
+  using Stage = BandFftPipeline::ExchangeStage;
+
+  /// One ring entry: an iteration's borrowed buffers plus the state of its
+  /// (single) in-flight split exchange between a post task and its
+  /// waitable.
   struct Slot {
-    std::unique_ptr<BandFftPipeline::WorkBuffers> wb;
+    BandFftPipeline::BorrowedBuffers wb;
     char token = 0;        ///< dependency anchor: chain + slot-reuse (WAW)
     mpi::Request req;      ///< the posted exchange awaiting completion
     bool posted = false;   ///< req holds a live request
     double t_post = 0.0;   ///< post timestamp (hidden-time attribution)
-    double e_send = 0.0;   ///< ABFT stick energy carried post -> wait
   };
 
   void submit_iteration(Slot& slot, int iter);
+  /// One exchange stage of a step-shaped iteration: a blocking task, or a
+  /// post task plus a waitable when `split`.  `deps` adds the stage's psi
+  /// clauses to the chain.
+  void submit_exchange(Slot& slot, int iter, const Stage& x,
+                       std::vector<task::Dep> deps, bool split);
   void install_queue_wait_observer();
 
-  /// Wraps a stage body: skipped after a failure, and any throw captures
+  /// Wraps a task body: skipped after a failure, and any throw captures
   /// the original exception and revokes the world before rethrowing.
   [[nodiscard]] std::function<void()> guard(std::function<void()> body);
   /// First failure wins: records std::current_exception() and revokes the
   /// world communicator so every rank's in-flight collectives unwind.
   void capture_current();
 
-  /// Shared completion logic of the waitable exchange tasks: test (or, on
-  /// the last-chance attempt, wait for) the slot's request, record the
-  /// hidden window, then run the stage's post-exchange hook.
-  bool wait_poll(Slot& slot, bool last_chance,
-                 const std::function<void()>& done);
+  /// The split path's halves: the post task runs the stage's before half
+  /// and posts its transpose; the waitable tests (or, on the last-chance
+  /// attempt, waits for) the request, records the hidden window, then
+  /// runs the after half.
+  void post(Slot& slot, const Stage& x, int iter);
+  bool wait_poll(Slot& slot, bool last_chance, const Stage& x, int iter);
 
-  // Split-exchange stage bodies (fused layouts; mirror the blocking
-  // counterparts in pipeline.cpp exactly -- same ABFT hooks, same spans).
-  void post_pack(Slot& slot, int iter);
-  void post_scatter_fw(Slot& slot, int iter);
-  void done_scatter_fw(Slot& slot, int iter);
-  void post_scatter_bw(Slot& slot, int iter);
-  void done_scatter_bw(Slot& slot, int iter);
-  void post_unpack(Slot& slot, int iter);
-  void done_unpack(Slot& slot, int iter);
-
-  void signal_iteration_done();
+  /// Runs on every exit of an iteration's last task -- normal, failed, or
+  /// skipped after a failure -- so the window never waits on a dead
+  /// iteration and the observatory hears the end.
+  void end_iteration(int iter);
 
   BandFftPipeline& p_;
   std::vector<Slot> slots_;
-  int depth_ = 1;
-  bool split_ = false;  ///< nonblocking post/wait exchange tasks
+  int depth_ = 1;               ///< step shape: iterations in flight
+  bool per_iteration_ = false;  ///< one task per iteration
+  bool taskloop_ = false;       ///< FFT stages fan out through taskloop
+  bool split_ = false;          ///< nonblocking post/wait exchange tasks
 
   std::mutex window_mu_;
   std::condition_variable window_cv_;

@@ -86,8 +86,8 @@ SimResult simulate(const ProgramBundle& bundle, const MachineConfig& machine,
   std::vector<std::vector<ChainCursor>> chains(static_cast<std::size_t>(P));
   std::vector<std::deque<int>> ready(static_cast<std::size_t>(P));
   // Requeue (TaskPerStep) mode bounds started-unfinished chains per rank
-  // to the worker count, mirroring the pipeline's sliding iteration window
-  // (deadlock freedom: see BandFftPipeline::run_task_per_step).
+  // to the worker count, mirroring the task executor's blocking-depth rule
+  // (deadlock freedom: see StreamExecutor::run and DESIGN.md section 17).
   std::vector<int> active_chains(static_cast<std::size_t>(P), 0);
   for (int r = 0; r < P; ++r) {
     const auto& prog = bundle.programs[static_cast<std::size_t>(r)];

@@ -152,13 +152,73 @@ void validate_entry_locked(const CommContext& ctx, const OpKey& key,
   }
 }
 
+/// One rank's copy phase of a collective that every rank entered.  Peers
+/// read this rank's send buffers and counts until all ranks finished
+/// copying, so the phase ends -- through leave() or, when a copy-phase
+/// check throws, the destructor -- only once every rank is done.  An abort
+/// (revoke, poison) must not let a rank unwind early: its caller could
+/// free the buffers a peer is still reading.  The copy phase never blocks,
+/// so the wait is short.
+class CopyPhase {
+ public:
+  CopyPhase(CommContext& ctx, const OpKey& key, int rank,
+            std::shared_ptr<OpState> op)
+      : ctx_(ctx), key_(key), rank_(rank), op_(std::move(op)) {}
+  ~CopyPhase() {
+    if (!left_) {
+      std::unique_lock lock(ctx_.mu);
+      finish_locked(lock);
+    }
+  }
+  CopyPhase(const CopyPhase&) = delete;
+  CopyPhase& operator=(const CopyPhase&) = delete;
+
+  OpState* operator->() const { return op_.get(); }
+
+  /// Ends the phase, then unwinds if the communicator was aborted while
+  /// the ranks were copying.
+  void leave() {
+    left_ = true;
+    {
+      std::unique_lock lock(ctx_.mu);
+      finish_locked(lock);
+      check_alive_locked(ctx_);
+    }
+    note_progress(ctx_);
+  }
+
+ private:
+  /// Counts this rank done and waits for every rank; the last finisher
+  /// retires the op.
+  void finish_locked(std::unique_lock<std::mutex>& lock) {
+    if (++op_->done == ctx_.size) {
+      ctx_.ops.erase(key_);
+      ctx_.cv.notify_all();
+      return;
+    }
+    ProgressBoard::Scope blocked(
+        ctx_.board.get(),
+        blocked_info(ctx_, rank_, static_cast<CommOpKind>(key_.kind),
+                     key_.tag, key_.seq));
+    ctx_.cv.wait(lock, [&] { return op_->done == ctx_.size; });
+  }
+
+  CommContext& ctx_;
+  OpKey key_;
+  int rank_;
+  std::shared_ptr<OpState> op_;
+  bool left_ = false;
+};
+
 /// Enters a collective: registers this rank's contribution via `setup`,
 /// blocks until all ranks arrived (the last arriver runs `finalize` under
-/// the lock before releasing everyone).  Returns the op for the copy phase.
+/// the lock before releasing everyone).  Returns the rank's copy phase.
+/// Once every rank arrived the op proceeds even if the communicator is
+/// aborted meanwhile: every peer's buffers are published and stay valid
+/// until all ranks leave, and leave() reports the abort.
 template <typename Setup, typename Finalize>
-std::shared_ptr<OpState> enter_collective(CommContext& ctx, const OpKey& key,
-                                          int rank, Setup&& setup,
-                                          Finalize&& finalize) {
+CopyPhase enter_collective(CommContext& ctx, const OpKey& key, int rank,
+                           Setup&& setup, Finalize&& finalize) {
   std::unique_lock lock(ctx.mu);
   check_alive_locked(ctx);
   validate_entry_locked(ctx, key, rank);
@@ -180,34 +240,48 @@ std::shared_ptr<OpState> enter_collective(CommContext& ctx, const OpKey& key,
         blocked_info(ctx, rank, static_cast<CommOpKind>(key.kind), key.tag,
                      key.seq));
     ctx.cv.wait(lock, [&] { return op->ready || ctx.aborted; });
-    check_alive_locked(ctx);
+    if (!op->ready) check_alive_locked(ctx);
   }
-  return op;
-}
-
-/// Leaves a collective after the copy phase: waits until every rank is done
-/// so send buffers stay valid throughout; the last finisher retires the op.
-void leave_collective(CommContext& ctx, const OpKey& key, int rank,
-                      OpState& op) {
-  {
-    std::unique_lock lock(ctx.mu);
-    ++op.done;
-    if (op.done == ctx.size) {
-      ctx.ops.erase(key);
-      ctx.cv.notify_all();
-    } else {
-      ProgressBoard::Scope blocked(
-          ctx.board.get(),
-          blocked_info(ctx, rank, static_cast<CommOpKind>(key.kind), key.tag,
-                       key.seq));
-      ctx.cv.wait(lock, [&] { return op.done == ctx.size || ctx.aborted; });
-      check_alive_locked(ctx);
-    }
-  }
-  note_progress(ctx);
+  return CopyPhase(ctx, key, rank, std::move(op));
 }
 
 }  // namespace
+
+RequestState::~RequestState() {
+  if (op == nullptr || done) return;
+  // A nonblocking collective abandoned before completion: its poster is
+  // unwinding and may free the posted buffers next, so no peer may touch
+  // them again.  Withdraw the transfers nobody claimed yet, wait out the
+  // ones a peer is copying right now (claimed copies never block), and --
+  // unless an abort already unwinds them with its own reason -- fail the
+  // exchange for every peer that would otherwise wait on a withdrawn
+  // transfer.
+  const auto n = static_cast<std::size_t>(ctx->size);
+  const auto r = static_cast<std::size_t>(comm_rank);
+  std::unique_lock lock(ctx->mu);
+  bool withdrew = false;
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::uint8_t* s : {&op->xfer[r * n + k], &op->xfer[k * n + r]}) {
+      if (*s == 0) {
+        *s = 3;
+        withdrew = true;
+      }
+    }
+  }
+  ctx->cv.wait(lock, [&] {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (op->xfer[r * n + k] == 1 || op->xfer[k * n + r] == 1) return false;
+    }
+    return true;
+  });
+  if (withdrew && op->failed.empty() && !ctx->aborted) {
+    op->failed = core::cat("nonblocking exchange on comm ", ctx->id, " (tag ",
+                           tag, ") abandoned by rank ", comm_rank, " (world ",
+                           wrank(*ctx, comm_rank), ") before completion");
+  }
+  ctx->cv.notify_all();
+}
+
 }  // namespace detail
 
 using detail::CommContext;
@@ -343,7 +417,7 @@ void Comm::bcast_bytes(void* data, std::size_t bytes, int root, int tag) {
     std::memcpy(data, op->send[static_cast<std::size_t>(root)], bytes);
     detail::inject_corrupt(*ctx_, rank_, CommOpKind::Bcast, data, bytes);
   }
-  detail::leave_collective(*ctx_, key, rank_, *op);
+  op.leave();
 }
 
 void Comm::allreduce_bytes(const void* send, void* recv, std::size_t count,
@@ -380,7 +454,7 @@ void Comm::allreduce_bytes(const void* send, void* recv, std::size_t count,
       });
   std::memcpy(recv, op->acc.data(), bytes);
   detail::inject_corrupt(*ctx_, rank_, CommOpKind::Allreduce, recv, bytes);
-  detail::leave_collective(*ctx_, key, rank_, *op);
+  op.leave();
 }
 
 void Comm::allgather_bytes(const void* send, std::size_t bytes, void* recv,
@@ -408,7 +482,7 @@ void Comm::allgather_bytes(const void* send, std::size_t bytes, void* recv,
   }
   detail::inject_corrupt(*ctx_, rank_, CommOpKind::Allgather, recv,
                          bytes * static_cast<std::size_t>(size()));
-  detail::leave_collective(*ctx_, key, rank_, *op);
+  op.leave();
 }
 
 void Comm::gather_bytes(const void* send, std::size_t bytes, void* recv,
@@ -438,7 +512,7 @@ void Comm::gather_bytes(const void* send, std::size_t bytes, void* recv,
     detail::inject_corrupt(*ctx_, rank_, CommOpKind::Gather, recv,
                            bytes * static_cast<std::size_t>(size()));
   }
-  detail::leave_collective(*ctx_, key, rank_, *op);
+  op.leave();
 }
 
 void Comm::scatter_bytes(const void* send, std::size_t bytes, void* recv,
@@ -465,7 +539,7 @@ void Comm::scatter_bytes(const void* send, std::size_t bytes, void* recv,
       static_cast<const char*>(op->send[static_cast<std::size_t>(root)]);
   std::memcpy(recv, in + r * bytes, bytes);
   detail::inject_corrupt(*ctx_, rank_, CommOpKind::Scatter, recv, bytes);
-  detail::leave_collective(*ctx_, key, rank_, *op);
+  op.leave();
 }
 
 void Comm::reduce_bytes(const void* send, void* recv, std::size_t count,
@@ -503,7 +577,7 @@ void Comm::reduce_bytes(const void* send, void* recv, std::size_t count,
     std::memcpy(recv, op->acc.data(), bytes);
     detail::inject_corrupt(*ctx_, rank_, CommOpKind::Reduce, recv, bytes);
   }
-  detail::leave_collective(*ctx_, key, rank_, *op);
+  op.leave();
 }
 
 void Comm::alltoall_bytes(const void* send, void* recv,
@@ -534,7 +608,7 @@ void Comm::alltoall_bytes(const void* send, void* recv,
   }
   detail::inject_corrupt(*ctx_, rank_, CommOpKind::Alltoall, recv,
                          bytes_per_rank * static_cast<std::size_t>(size()));
-  detail::leave_collective(*ctx_, key, rank_, *op);
+  op.leave();
 }
 
 void Comm::alltoallv_bytes(const void* send, const std::size_t* scounts,
@@ -588,7 +662,7 @@ void Comm::alltoallv_bytes(const void* send, const std::size_t* scounts,
     recv_end = std::max(recv_end, (rdispls[pu] + rcounts[pu]) * elem_size);
   }
   detail::inject_corrupt(*ctx_, rank_, CommOpKind::Alltoallv, recv, recv_end);
-  detail::leave_collective(*ctx_, key, rank_, *op);
+  op.leave();
 }
 
 Comm Comm::split(int color, int key, int tag) const {
@@ -644,7 +718,7 @@ Comm Comm::split(int color, int key, int tag) const {
       });
   Comm child(op->child_ctx[r], op->child_rank[r]);
   child.set_observer(rank_state_->get_observer());
-  detail::leave_collective(*ctx_, opkey, rank_, *op);
+  op.leave();
   return child;
 }
 
@@ -1305,6 +1379,9 @@ Request Comm::post_nb_exchange(CommOpKind kind, const void* send_base,
       if (s != 0) return;
       std::string err = pair_error(p, q);
       if (!err.empty()) {
+        // This post never runs its jobs: release them, so nobody waits on
+        // a claimed transfer that will not happen.
+        for (const auto& [jp, jq] : jobs) op->xfer[jp * n + jq] = 0;
         op->failed = err;
         ctx_->cv.notify_all();
         throw core::CommError(err);

@@ -88,7 +88,7 @@ struct OpState {
   std::vector<void*> nb_recv_base;  ///< per-rank recv buffer base
   std::vector<char> nb_posted;      ///< per-rank: views registered
   std::vector<std::uint8_t> xfer;   ///< [p*n+q]: 0 pending / 1 claimed /
-                                    ///< 2 done, transfer p -> q
+                                    ///< 2 done / 3 withdrawn, transfer p -> q
   std::vector<int> done_out;        ///< per sender p: done transfers p -> *
   std::vector<int> done_in;         ///< per receiver q: done transfers * -> q
   int observed = 0;    ///< ranks whose wait/test finalized the request
@@ -113,6 +113,12 @@ struct P2pKey {
 /// accounting run once per request).  The OpState is shared; this struct
 /// holds only per-rank state, so there is no ownership cycle.
 struct RequestState {
+  RequestState() = default;
+  /// Withdraws an abandoned nonblocking collective (see comm.cpp).
+  ~RequestState();
+  RequestState(const RequestState&) = delete;
+  RequestState& operator=(const RequestState&) = delete;
+
   std::shared_ptr<class CommContext> ctx;
   bool done = false;
   int src = -1;

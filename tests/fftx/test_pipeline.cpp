@@ -40,13 +40,18 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
          std::to_string(c.nthreads);
 }
 
-/// Runs the pipeline for the case and collects every band's packed
-/// coefficients per rank, returned indexed by [band][global G position].
-std::vector<std::vector<cplx>> run_case(const Case& c, bool apply_potential) {
+/// Runs the pipeline for the case `runs` times on one pipeline instance,
+/// re-initializing the bands before each run, and collects every band's
+/// packed coefficients per rank after each run, indexed by
+/// [run][band][global G position].
+std::vector<std::vector<std::vector<cplx>>> run_case_repeatedly(
+    const Case& c, bool apply_potential, int runs) {
   auto desc = std::make_shared<const Descriptor>(Cell{kAlat}, kEcut, c.nproc,
                                                  c.ntg);
-  std::vector<std::vector<cplx>> result(
-      kBands, std::vector<cplx>(desc->sphere().size()));
+  std::vector<std::vector<std::vector<cplx>>> result(
+      static_cast<std::size_t>(runs),
+      std::vector<std::vector<cplx>>(
+          kBands, std::vector<cplx>(desc->sphere().size())));
 
   fx::mpi::Runtime::run(c.nproc, [&](fx::mpi::Comm& world) {
     PipelineConfig cfg;
@@ -55,19 +60,27 @@ std::vector<std::vector<cplx>> run_case(const Case& c, bool apply_potential) {
     cfg.nthreads = c.nthreads;
     cfg.apply_potential = apply_potential;
     BandFftPipeline pipe(world, desc, cfg);
-    pipe.initialize_bands();
-    pipe.run();
-    // Gather: each rank writes its slice into the shared result (disjoint
-    // positions, so no synchronization needed beyond the runtime's join).
     const auto index = desc->world_g_index(world.rank());
-    for (int n = 0; n < kBands; ++n) {
-      const auto mine = pipe.band(n);
-      for (std::size_t k = 0; k < index.size(); ++k) {
-        result[static_cast<std::size_t>(n)][index[k]] = mine[k];
+    for (auto& bands : result) {
+      pipe.initialize_bands();
+      pipe.run();
+      // Gather: each rank writes its slice into the shared result
+      // (disjoint positions, so no synchronization needed beyond the
+      // runtime's join).
+      for (int n = 0; n < kBands; ++n) {
+        const auto mine = pipe.band(n);
+        for (std::size_t k = 0; k < index.size(); ++k) {
+          bands[static_cast<std::size_t>(n)][index[k]] = mine[k];
+        }
       }
     }
   });
   return result;
+}
+
+/// One run of the case, indexed by [band][global G position].
+std::vector<std::vector<cplx>> run_case(const Case& c, bool apply_potential) {
+  return run_case_repeatedly(c, apply_potential, 1).front();
 }
 
 double max_band_error(const std::vector<cplx>& got,
@@ -157,10 +170,23 @@ TEST(Pipeline, AllModesProduceIdenticalCoefficients) {
 }
 
 TEST(Pipeline, RepeatedRunsAreDeterministic) {
-  const auto a = run_case({4, 2, PipelineMode::Original, 1}, true);
-  const auto b = run_case({4, 2, PipelineMode::Original, 1}, true);
-  for (int n = 0; n < kBands; ++n) {
-    EXPECT_EQ(a[static_cast<std::size_t>(n)], b[static_cast<std::size_t>(n)]);
+  // Every schedule borrows its buffers from the pipeline's pool, so a
+  // second run() on one pipeline reuses the first run's buffer sets; both
+  // runs must match a fresh pipeline bit for bit.
+  for (const PipelineMode mode :
+       {PipelineMode::Original, PipelineMode::TaskPerStep,
+        PipelineMode::TaskPerFft, PipelineMode::Combined,
+        PipelineMode::Streaming}) {
+    const Case c{4, 2, mode, mode == PipelineMode::Original ? 1 : 2};
+    const auto fresh = run_case(c, true);
+    const auto reused = run_case_repeatedly(c, true, 2);
+    for (std::size_t r = 0; r < reused.size(); ++r) {
+      for (int n = 0; n < kBands; ++n) {
+        const auto nu = static_cast<std::size_t>(n);
+        EXPECT_EQ(reused[r][nu], fresh[nu])
+            << fx::fftx::to_string(mode) << " run " << r << " band " << n;
+      }
+    }
   }
 }
 

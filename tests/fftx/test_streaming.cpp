@@ -3,7 +3,8 @@
 // r2c, narrow-wire, guarded and ABFT compositions), the split nonblocking
 // path actually posts nonblocking exchanges and hides wait behind other
 // bands' compute (fftx.stream.* metrics advance), and the RecoveryDriver
-// survives a rank kill mid-stream with a bit-exact replay.
+// survives a rank kill mid-run under every schedule with a bit-exact
+// replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -192,7 +193,26 @@ TEST(Streaming, DepthClampsToIterationCountAndWorkerFloor) {
   EXPECT_EQ(serial, oracle);
 }
 
-TEST(Streaming, RecoveryDriverSurvivesKillMidStream) {
+/// A rank kill inside the band loop, under one schedule and exchange path.
+struct KillCase {
+  PipelineMode mode;
+  int kill_op;
+  bool fused = false;  ///< staged exchanges unless set
+};
+
+std::string kill_case_name(const ::testing::TestParamInfo<KillCase>& info) {
+  const KillCase& c = info.param;
+  return std::string(fx::fftx::to_string(c.mode)) +
+         (c.fused ? "_fused" : "_staged") + "_op" + std::to_string(c.kill_op);
+}
+
+class RecoveryKill : public ::testing::TestWithParam<KillCase> {};
+
+// Every schedule must hand the RecoveryDriver the killed rank's original
+// FaultError (the rank dies) and its peers' repairable errors (they shrink
+// and replay), whichever task the kill lands in.
+TEST_P(RecoveryKill, RecoveryDriverSurvivesKillMidStream) {
+  const KillCase c = GetParam();
   auto desc =
       std::make_shared<const Descriptor>(Cell{kAlat}, kEcut, kProc, kTg);
   RecoveryConfig rcfg;
@@ -210,8 +230,7 @@ TEST(Streaming, RecoveryDriverSurvivesKillMidStream) {
     std::mutex mu;
     Runtime::run(kProc, opts, [&](Comm& world) {
       PipelineConfig cfg = make_config(
-          PipelineMode::Streaming, 2,
-          Variant{.stream_bands = 2, .fused = true});
+          c.mode, 2, Variant{.stream_bands = 2, .fused = c.fused});
       RecoveryDriver driver(world, desc, cfg, rcfg);
       std::vector<std::vector<cplx>> mine;
       const auto rep = driver.run(mine);
@@ -237,13 +256,14 @@ TEST(Streaming, RecoveryDriverSurvivesKillMidStream) {
 
   RunOptions faulty = quiet_options();
   faulty.faults.kill_rank = 1;
-  faulty.faults.kill_op = 18;  // mid-run, inside the streamed band loop
+  faulty.faults.kill_op = c.kill_op;
   const auto healed = run_recovered(faulty);
   EXPECT_EQ(healed.died, 1);
   EXPECT_EQ(healed.completed, kProc - 1);
   EXPECT_EQ(healed.bands, clean.bands) << "kill-and-replay diverged";
 
   const Descriptor oracle(Cell{kAlat}, kEcut, kProc, kTg);
+  ASSERT_EQ(healed.bands.size(), static_cast<std::size_t>(kBands));
   for (int n = 0; n < kBands; ++n) {
     const auto want = fx::fftx::reference_band_output(oracle, n, true);
     const auto& got = healed.bands[static_cast<std::size_t>(n)];
@@ -254,5 +274,21 @@ TEST(Streaming, RecoveryDriverSurvivesKillMidStream) {
     EXPECT_LT(err, 1e-12) << "band " << n;
   }
 }
+
+std::vector<KillCase> kill_cases() {
+  std::vector<KillCase> cases;
+  for (const PipelineMode mode :
+       {PipelineMode::Original, PipelineMode::TaskPerStep,
+        PipelineMode::TaskPerFft, PipelineMode::Combined,
+        PipelineMode::Streaming}) {
+    for (const int op : {3, 18, 25}) cases.push_back({mode, op});
+  }
+  // Mid-run, inside the streamed band loop on the split exchange path.
+  cases.push_back({PipelineMode::Streaming, 18, /*fused=*/true});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, RecoveryKill,
+                         ::testing::ValuesIn(kill_cases()), kill_case_name);
 
 }  // namespace

@@ -1,10 +1,14 @@
-// Regression stress for the TaskPerStep sliding-iteration window.
+// Regression stress for the task executor's blocking-depth rule
+// (DESIGN.md section 17): with blocking stage tasks, at most nthreads
+// iterations are in flight.
 //
-// Without the window, two ranks can block all their workers in collectives
+// Without the cap, two ranks can block all their workers in collectives
 // of disjoint iteration sets (every iteration's pack task is ready from
 // the start, so FIFO dispatch lets a rank race ahead arbitrarily) -- an
-// intermittent, load-sensitive deadlock.  These runs maximize the skew
-// pressure: many iterations, few workers, several ranks, repeated.
+// intermittent, load-sensitive deadlock.  The per-iteration schedules
+// (TaskPerFft, Combined) have no cap and rely on FIFO dispatch of
+// whole-band tasks instead.  These runs maximize the skew pressure: many
+// iterations, few workers, several ranks, repeated.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -50,7 +54,7 @@ TEST(WindowStress, TaskPerStepManyIterationsFewWorkers) {
 }
 
 TEST(WindowStress, TaskPerStepSingleWorker) {
-  // window == 1: strictly serial iterations, must still complete.
+  // Depth 1: strictly serial iterations, must still complete.
   run_stress(3, 1, 12, PipelineMode::TaskPerStep);
 }
 

@@ -482,6 +482,38 @@ TEST(NonblockingFaults, RevokedCommUnwindsWaiter) {
   EXPECT_EQ(revoked_unwinds.load(), 1);
 }
 
+TEST(NonblockingFaults, AbandonedExchangeFailsPeersInsteadOfCopying) {
+  // Rank 0 posts and drops its request unwaited -- the path of a rank that
+  // unwinds between post and wait -- and its buffers die with the scope.
+  // A later peer must not claim transfers against those dead buffers: the
+  // exchange fails for it instead.
+  std::atomic<bool> abandoned{false};
+  std::vector<double> recv1(2, -1.0);
+  try {
+    Runtime::run(2, quiet_options(), [&](Comm& comm) {
+      if (comm.rank() == 0) {
+        {
+          std::vector<double> send(2, 7.0);
+          std::vector<double> recv(2, 0.0);
+          Request r =
+              comm.ialltoall_bytes(send.data(), recv.data(), sizeof(double));
+        }
+        abandoned = true;
+        return;
+      }
+      while (!abandoned) std::this_thread::yield();
+      const std::vector<double> send(2, 1.0);
+      comm.ialltoall_bytes(send.data(), recv1.data(), sizeof(double)).wait();
+    });
+    FAIL() << "expected CommError";
+  } catch (const CommError& e) {
+    EXPECT_NE(std::string(e.what()).find("abandoned by rank 0"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(recv1[0], -1.0) << "data moved out of an abandoned exchange";
+}
+
 TEST(Nonblocking, SizeMismatchOnPostedReceiveThrows) {
   EXPECT_THROW(
       Runtime::run(2,
