@@ -5,6 +5,23 @@
 
 namespace fx::fftx {
 
+namespace {
+
+/// V(r) at every node of the `npz` planes from `first`, plane-major.
+void fill_potential(std::span<double> v, std::size_t first, std::size_t npz,
+                    const pw::GridDims& dims) {
+  std::size_t pos = 0;
+  for (std::size_t iz = 0; iz < npz; ++iz) {
+    for (std::size_t iy = 0; iy < dims.ny; ++iy) {
+      for (std::size_t ix = 0; ix < dims.nx; ++ix) {
+        v[pos++] = pw::potential_value(ix, iy, first + iz, dims);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Descriptor::Descriptor(const pw::Cell& cell, double ecutwfc_ry, int nproc,
                        int ntg)
     : cell_(cell), nproc_(nproc), ntg_(ntg) {
@@ -81,20 +98,20 @@ void Descriptor::build_layout() {
     ng_group_[static_cast<std::size_t>(b)] = ng;
     FX_ASSERT(pidx.size() == ng);
   }
+
+  // Potential slabs stay empty until potential(b) first asks for one.
+  potential_ =
+      std::make_unique<PotentialSlab[]>(static_cast<std::size_t>(rgroup));
 }
 
-void Descriptor::fill_potential(int b, std::span<double> v) const {
-  const std::size_t npz_b = npz(b);
-  const std::size_t first = first_plane(b);
-  FX_CHECK(v.size() == npz_b * dims_.plane(), "potential slab size mismatch");
-  std::size_t pos = 0;
-  for (std::size_t iz = 0; iz < npz_b; ++iz) {
-    for (std::size_t iy = 0; iy < dims_.ny; ++iy) {
-      for (std::size_t ix = 0; ix < dims_.nx; ++ix) {
-        v[pos++] = pw::potential_value(ix, iy, first + iz, dims_);
-      }
-    }
-  }
+std::span<const double> Descriptor::potential(int b) const {
+  FX_CHECK(b >= 0 && b < group_size(), "group rank out of range");
+  PotentialSlab& slab = potential_[static_cast<std::size_t>(b)];
+  std::call_once(slab.filled, [&] {
+    slab.v.resize(npz(b) * dims_.plane());
+    fill_potential(slab.v, first_plane(b), npz(b), dims_);
+  });
+  return slab.v;
 }
 
 }  // namespace fx::fftx

@@ -33,10 +33,17 @@
 //
 // All maps depend only on (cell, cutoff, P, T) -- identical on every rank
 // and every task group by construction.
+//
+// The real-space potential V(r) is a per-descriptor constant, as QE's
+// local potential is constant within one SCF step: potential(b) fills
+// group rank b's slab on first use (once, thread-safe) and every pipeline
+// built on the descriptor borrows it.  The T ranks sharing b share one
+// slab; descriptors that never apply V never compute it.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -123,9 +130,11 @@ class Descriptor {
     return ng_world(world_rank(b, m));
   }
 
-  /// Fills `v` (size npz(b) * nx * ny, plane-major [iz][iy][ix]) with the
-  /// real-space potential slab of group rank b.
-  void fill_potential(int b, std::span<double> v) const;
+  /// Real-space potential slab of group rank b: npz(b) * nx * ny values,
+  /// plane-major [iz][iy][ix].  Computed from pw::potential_value on the
+  /// first call for b (concurrent first calls wait for the one fill);
+  /// valid for the descriptor's lifetime.
+  [[nodiscard]] std::span<const double> potential(int b) const;
 
   /// Total complex elements a group rank's pencil buffer holds.
   [[nodiscard]] std::size_t pencil_size(int b) const {
@@ -154,6 +163,13 @@ class Descriptor {
   std::vector<std::size_t> ng_group_;                    // per group rank
   std::vector<std::vector<std::size_t>> pencil_index_;   // per group rank
   std::vector<std::size_t> stick_xy_;                    // per global stick
+
+  // Per group rank; each slab is filled by the first potential(b) call.
+  struct PotentialSlab {
+    std::once_flag filled;
+    std::vector<double> v;
+  };
+  std::unique_ptr<PotentialSlab[]> potential_;
 };
 
 }  // namespace fx::fftx

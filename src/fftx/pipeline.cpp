@@ -221,10 +221,7 @@ BandFftPipeline::BandFftPipeline(mpi::Comm world,
 
   psi_arena_.resize(static_cast<std::size_t>(npsi_) * ng_w);
 
-  if (cfg_.apply_potential) {
-    vslab_.resize(npz_b * desc_->dims().plane());
-    desc_->fill_potential(b_, vslab_);
-  }
+  if (cfg_.apply_potential) vslab_ = desc_->potential(b_);
 
   pack_counts_.resize(static_cast<std::size_t>(ntg));
   pack_displs_.resize(static_cast<std::size_t>(ntg));
@@ -967,9 +964,11 @@ void BandFftPipeline::do_fft_z_scatter_fw(WorkBuffers& wb, int iter,
                                      wb.planes.data(), rviews, sizeof(cplx),
                                      /*tag=*/iter, cfg_.wire_format);
     t_post[cu] = WallTimer::now();
-    // Progress earlier chunks between FFT chunks: a test() on a ready
-    // request performs this rank's pull copies now, inside the compute
-    // region, instead of serializing them behind the final waits.
+    // Poll earlier chunks between FFT chunks.  This moves no data: every
+    // pair of a chunk was copied by whichever endpoint posted it later
+    // (post_nb_exchange in simmpi), so test() on a ready request only
+    // finalizes it -- fault injection and completion accounting -- inside
+    // the compute region instead of behind the final waits.
     for (int k = 0; k < c; ++k) {
       const auto ku = static_cast<std::size_t>(k);
       if (!done[ku]) done[ku] = reqs[ku].test();
@@ -1070,8 +1069,9 @@ void BandFftPipeline::do_scatter_bw_fft_z(WorkBuffers& wb, int iter,
         (WallTimer::now() - t_post[cu]) * 1e3);
     reqs[cu].wait();
     fft_chunk(ranges[cu].first, ranges[cu].second);
-    // Pull whatever later chunks have become ready while this chunk's
-    // Z-FFTs ran, so their copies overlap the compute too.
+    // Finalize the later chunks that became ready while this chunk's
+    // Z-FFTs ran.  Their payload already moved when the later endpoint
+    // posted; test() copies nothing, it only finalizes.
     for (int k = c + 1; k < nchunks; ++k) {
       const auto ku = static_cast<std::size_t>(k);
       if (!reqs[ku].test()) break;

@@ -208,6 +208,9 @@ class BandFftPipeline {
   [[nodiscard]] const Descriptor& descriptor() const { return *desc_; }
   [[nodiscard]] const PipelineConfig& config() const { return cfg_; }
   [[nodiscard]] int rank() const { return w_; }
+  /// The V(r) slab VOFR applies: descriptor().potential() of this rank's
+  /// group rank, borrowed rather than copied (empty unless apply_potential).
+  [[nodiscard]] std::span<const double> potential() const { return vslab_; }
 
   /// Guarded-exchange counters (zero when guard_exchanges is off).
   [[nodiscard]] std::uint64_t guard_exchanges_done() const {
@@ -362,12 +365,13 @@ class BandFftPipeline {
   }
 
   // Immutable plans (thread-safe execution, shared across the ranks of
-  // this process via the global plan cache) and the potential slab.
+  // this process via the global plan cache) and the borrowed potential
+  // slab (see potential()).
   std::shared_ptr<const fft::BatchPlan1d> z_to_real_;   ///< "FW-FFT along Z"
   std::shared_ptr<const fft::BatchPlan1d> z_to_recip_;  ///< "BW-FFT along Z"
   std::shared_ptr<const fft::Fft2d> xy_to_real_;
   std::shared_ptr<const fft::Fft2d> xy_to_recip_;
-  std::vector<double> vslab_;
+  std::span<const double> vslab_;
 
   // Pack / scatter exchange counts and displacements (elements).
   std::vector<std::size_t> pack_counts_;    // recv from member m

@@ -227,6 +227,12 @@ class CommContext {
  private:
   void poison_impl(const std::string& reason, bool as_revoke) {
     std::vector<std::shared_ptr<CommContext>> kids;
+    // Receives still posted can never match now (every send checks the
+    // poison first), and each one's RequestState holds this context: left
+    // in place, an abandoned entry and the context keep each other alive.
+    // They are destroyed after unlocking -- an entry may hold the last
+    // reference to this context -- and after the last member access.
+    std::map<P2pKey, std::deque<PendingRecv>> unmatched;
     {
       std::lock_guard lock(mu);
       if (!aborted) {
@@ -234,6 +240,7 @@ class CommContext {
         poison_reason = reason;
       }
       if (as_revoke) revoked = true;
+      unmatched.swap(posted);
       // A shrink child is deliberately NOT in `children` (it must outlive
       // its revoked parent), so this recursion can never poison a repaired
       // communicator -- only ordinary split() offspring.

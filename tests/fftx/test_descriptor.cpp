@@ -4,16 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
+#include "fftx/pipeline.hpp"
 #include "pw/wavefunction.hpp"
+#include "simmpi/runtime.hpp"
 
 namespace {
 
+using fx::fftx::BandFftPipeline;
 using fx::fftx::Descriptor;
+using fx::fftx::PipelineConfig;
 using fx::pw::Cell;
 
 class LayoutSweep
@@ -132,8 +139,7 @@ TEST(Descriptor, PotentialSlabsTileTheGridConsistently) {
   const auto& dims = desc.dims();
   std::vector<double> full;
   for (int b = 0; b < desc.group_size(); ++b) {
-    std::vector<double> slab(desc.npz(b) * dims.plane());
-    desc.fill_potential(b, slab);
+    const auto slab = desc.potential(b);
     full.insert(full.end(), slab.begin(), slab.end());
   }
   ASSERT_EQ(full.size(), dims.volume());
@@ -144,6 +150,67 @@ TEST(Descriptor, PotentialSlabsTileTheGridConsistently) {
         ASSERT_DOUBLE_EQ(full[pos++],
                          fx::pw::potential_value(ix, iy, iz, dims));
       }
+    }
+  }
+}
+
+TEST(Descriptor, PotentialIsComputedOncePerGroupRank) {
+  // The serial layout, two task groups of two, and R = 3 group ranks over
+  // nz = 7 planes (uneven slabs).
+  for (const auto& [P, T] :
+       {std::pair{1, 1}, std::pair{4, 2}, std::pair{6, 2}}) {
+    SCOPED_TRACE(::testing::Message() << "P=" << P << " T=" << T);
+    const auto desc = std::make_shared<const Descriptor>(Cell{8.0}, 8.0, P, T);
+    const auto& dims = desc->dims();
+    const int R = desc->group_size();
+    if (P == 6) {
+      ASSERT_NE(dims.nz % static_cast<std::size_t>(R), 0u);
+    }
+
+    // First use from every rank thread at once: the T ranks of a group
+    // rank race into one fill (the TSan job checks it), then two more
+    // calls and two pipelines must all see that same slab.
+    const auto n = static_cast<std::size_t>(P);
+    std::vector<const double*> first(n), again(n), pipe1(n), pipe2(n);
+    fx::mpi::Runtime::run(P, [&](fx::mpi::Comm& world) {
+      const auto w = static_cast<std::size_t>(world.rank());
+      const int b = desc->group_rank_of(world.rank());
+      world.barrier();
+      first[w] = desc->potential(b).data();
+      again[w] = desc->potential(b).data();
+      PipelineConfig cfg;
+      cfg.num_bands = T;
+      const BandFftPipeline one(world, desc, cfg);
+      const BandFftPipeline two(world, desc, cfg);
+      pipe1[w] = one.potential().data();
+      pipe2[w] = two.potential().data();
+    });
+    for (int w = 0; w < P; ++w) {
+      const auto wu = static_cast<std::size_t>(w);
+      const double* slab = desc->potential(desc->group_rank_of(w)).data();
+      EXPECT_EQ(first[wu], slab) << "rank " << w;
+      EXPECT_EQ(again[wu], slab) << "rank " << w;
+      EXPECT_EQ(pipe1[wu], slab) << "rank " << w;
+      EXPECT_EQ(pipe2[wu], slab) << "rank " << w;
+    }
+
+    // Bit for bit the generator's values, plane by plane.
+    for (int b = 0; b < R; ++b) {
+      std::vector<double> want;
+      for (std::size_t iz = 0; iz < desc->npz(b); ++iz) {
+        for (std::size_t iy = 0; iy < dims.ny; ++iy) {
+          for (std::size_t ix = 0; ix < dims.nx; ++ix) {
+            want.push_back(fx::pw::potential_value(
+                ix, iy, desc->first_plane(b) + iz, dims));
+          }
+        }
+      }
+      const auto got = desc->potential(b);
+      ASSERT_EQ(got.size(), want.size()) << "group rank " << b;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(double)),
+                0)
+          << "group rank " << b;
     }
   }
 }
