@@ -150,8 +150,8 @@ int default_overlap_chunks() {
   // Chunking only pays when rank-threads actually run concurrently: on a
   // single hardware thread every extra chunk is pure context-switch and
   // post/wait overhead, so fall back to one chunk (still nonblocking --
-  // the exchange is posted before the last Z-FFT batch and progresses at
-  // whichever endpoint posts second).
+  // the exchange is posted before the last Z-FFT batch, and each rank
+  // pulls its own receives at its post, test() and wait()).
   int chunks = std::thread::hardware_concurrency() > 1 ? 4 : 1;
   core::env_int_in("FFTX_OVERLAP_CHUNKS", chunks, 1, 1 << 20, "pipeline");
   return chunks;
@@ -964,11 +964,11 @@ void BandFftPipeline::do_fft_z_scatter_fw(WorkBuffers& wb, int iter,
                                      wb.planes.data(), rviews, sizeof(cplx),
                                      /*tag=*/iter, cfg_.wire_format);
     t_post[cu] = WallTimer::now();
-    // Poll earlier chunks between FFT chunks.  This moves no data: every
-    // pair of a chunk was copied by whichever endpoint posted it later
-    // (post_nb_exchange in simmpi), so test() on a ready request only
-    // finalizes it -- fault injection and completion accounting -- inside
-    // the compute region instead of behind the final waits.
+    // Poll earlier chunks between FFT chunks.  test() pulls this rank's
+    // column -- every chunk transfer into it whose sender has posted
+    // (receiver-copies rule, complete_nb in simmpi) -- and finalizes a
+    // ready request (fault injection, completion accounting), so that work
+    // runs inside the compute region instead of behind the final waits.
     for (int k = 0; k < c; ++k) {
       const auto ku = static_cast<std::size_t>(k);
       if (!done[ku]) done[ku] = reqs[ku].test();
@@ -1069,9 +1069,9 @@ void BandFftPipeline::do_scatter_bw_fft_z(WorkBuffers& wb, int iter,
         (WallTimer::now() - t_post[cu]) * 1e3);
     reqs[cu].wait();
     fft_chunk(ranges[cu].first, ranges[cu].second);
-    // Finalize the later chunks that became ready while this chunk's
-    // Z-FFTs ran.  Their payload already moved when the later endpoint
-    // posted; test() copies nothing, it only finalizes.
+    // Advance the later chunks between Z-FFT chunks: test() pulls this
+    // rank's column of each (every transfer whose sender has posted) and
+    // finalizes the ones that are complete.
     for (int k = c + 1; k < nchunks; ++k) {
       const auto ku = static_cast<std::size_t>(k);
       if (!reqs[ku].test()) break;

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <mutex>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/format.hpp"
 #include "core/metrics.hpp"
@@ -1144,22 +1148,148 @@ std::size_t run_span_elems(const std::vector<SegRun>& runs, std::size_t lo,
   return n;
 }
 
-/// Drives a nonblocking collective toward completion from the waiter's
-/// thread.  The payload moves at post time (every pairwise transfer is
-/// executed by whichever endpoint posted later), so this only
-///   1. blocks until every transfer touching this rank is done -- its
-///      sends consumed (the send buffer becomes reusable) and its
-///      receives landed.  Crucially this never waits on transfers between
-///      two OTHER ranks: there is no global all-ranks barrier, which is
-///      what lets a chunked exchange's waits collapse to near zero when
-///      the posts were spread across compute;
+/// One pairwise transfer of a nonblocking exchange: (sender, receiver).
+using Transfer = std::pair<std::size_t, std::size_t>;
+
+/// Metadata agreement for transfer p -> q: element sizes, wire formats and
+/// the pairwise stream lengths.  Returns the diagnosis, empty when the two
+/// endpoints agree.
+std::string pair_error(const CommContext& ctx, const OpState& op, int tag,
+                       std::size_t p, std::size_t q) {
+  const auto pi = static_cast<int>(p);
+  const auto qi = static_cast<int>(q);
+  if (op.scalar[p] != op.scalar[q]) {
+    return core::cat("nonblocking exchange element size mismatch on comm ",
+                     ctx.id, " (tag ", tag, "): rank ", p, " (world ",
+                     detail::wrank(ctx, pi), ") uses ", op.scalar[p],
+                     " B, but rank ", q, " (world ", detail::wrank(ctx, qi),
+                     ") uses ", op.scalar[q], " B");
+  }
+  if (op.scalar2[p] != op.scalar2[q]) {
+    return core::cat(
+        "nonblocking exchange wire format mismatch on comm ", ctx.id,
+        " (tag ", tag, "): rank ", p, " (world ", detail::wrank(ctx, pi),
+        ") uses ", to_string(static_cast<WireFormat>(op.scalar2[p])),
+        ", but rank ", q, " (world ", detail::wrank(ctx, qi), ") uses ",
+        to_string(static_cast<WireFormat>(op.scalar2[q])));
+  }
+  const auto& ss = op.nb_send[p];
+  const auto& rs = op.nb_recv[q];
+  const std::size_t theirs =
+      run_span_elems(ss.runs, ss.first[q], ss.first[q + 1]);
+  const std::size_t mine =
+      run_span_elems(rs.runs, rs.first[p], rs.first[p + 1]);
+  if (theirs != mine) {
+    return core::cat("nonblocking exchange count mismatch on comm ", ctx.id,
+                     " (tag ", tag, "): rank ", p, " (world ",
+                     detail::wrank(ctx, pi), ") sends ", theirs,
+                     " element(s) of ", op.scalar[p], " B to rank ", q,
+                     " (world ", detail::wrank(ctx, qi), "), which expects ",
+                     mine, " element(s)");
+  }
+  return {};
+}
+
+/// The claim routine of the receiver-copies rule; must hold ctx.mu.  Claims
+/// for the request's rank r every pending transfer p -> r whose sender has
+/// posted: r copies its own column.  With `row` set and that column
+/// complete, it also claims every pending transfer r -> q whose receiver
+/// has posted, so a blocked waiter never depends on a peer that is not
+/// polling.  Claimed transfers are marked 1 and returned for
+/// run_transfers.  Each pair's metadata is checked as it is claimed: a
+/// mismatch releases this call's claims and poisons the op, so every
+/// participant unwinds with the same diagnosis instead of hanging.
+std::vector<Transfer> claim_locked(detail::RequestState& st, bool row) {
+  CommContext& ctx = *st.ctx;
+  OpState& op = *st.op;
+  if (!op.failed.empty()) throw core::CommError(op.failed);
+  const auto n = static_cast<std::size_t>(ctx.size);
+  const auto r = static_cast<std::size_t>(st.comm_rank);
+  std::vector<Transfer> jobs;
+  auto claim = [&](std::size_t p, std::size_t q) {
+    std::uint8_t& s = op.xfer[p * n + q];
+    if (s != 0 || !op.nb_posted[p] || !op.nb_posted[q]) return;
+    std::string err = pair_error(ctx, op, st.tag, p, q);
+    if (!err.empty()) {
+      // This call never runs its jobs: release them, so nobody waits on a
+      // claimed transfer that will not happen.
+      for (const auto& [jp, jq] : jobs) op.xfer[jp * n + jq] = 0;
+      op.failed = std::move(err);
+      ctx.cv.notify_all();
+      throw core::CommError(op.failed);
+    }
+    s = 1;
+    jobs.emplace_back(p, q);
+  };
+  for (std::size_t p = 0; p < n; ++p) claim(p, r);
+  if (row && op.done_in[r] == ctx.size) {
+    for (std::size_t q = 0; q < n; ++q) claim(r, q);
+  }
+  return jobs;
+}
+
+/// The job runner: executes claimed transfers peer-direct, then marks them
+/// done and wakes every waiter.  Call without ctx.mu held.  The posted
+/// views and buffers are immutable, both endpoints' buffers stay valid
+/// until their waits return (a wait needs its whole row and column done),
+/// and distinct transfers never overlap (each receiver's per-peer views are
+/// disjoint by contract).  Copies never block, so a withdrawing request can
+/// wait them out.
+void run_transfers(CommContext& ctx, OpState& op,
+                   const std::vector<Transfer>& jobs) {
+  const auto n = static_cast<std::size_t>(ctx.size);
+  double max_ulp = 0.0;
+  bool narrow = false;
+  for (const auto& [p, q] : jobs) {
+    const auto& ss = op.nb_send[p];
+    const auto& rs = op.nb_recv[q];
+    const auto wire = static_cast<WireFormat>(op.scalar2[q]);
+    narrow = narrow || wire != WireFormat::Fp64;
+    max_ulp = std::max(
+        max_ulp,
+        move_runs(static_cast<const unsigned char*>(op.send[p]),
+                  ss.runs.data() + ss.first[q], ss.first[q + 1] - ss.first[q],
+                  static_cast<unsigned char*>(op.nb_recv_base[q]),
+                  rs.runs.data() + rs.first[p], rs.first[p + 1] - rs.first[p],
+                  op.scalar[q], wire));
+  }
+  // One gauge update per batch, not per double: the copy loops accumulate
+  // locally and the peak lands here.
+  if (narrow) wire_ulp_gauge().max_of(max_ulp);
+  {
+    std::lock_guard lock(ctx.mu);
+    for (const auto& [p, q] : jobs) {
+      op.xfer[p * n + q] = 2;
+      ++op.done_out[p];
+      ++op.done_in[q];
+    }
+  }
+  // Notified after unlocking, so a woken waiter can take the lock at once:
+  // with more rank threads than cores, waking into a held lock costs a
+  // second context switch per waiter.
+  ctx.cv.notify_all();
+}
+
+/// Drives a nonblocking collective toward completion from the caller's
+/// thread.  It
+///   1. copies this rank's column: every pending transfer into it whose
+///      sender has posted (claim_locked, run_transfers).  A blocking wait
+///      whose column is complete also copies its own pending row, so
+///      completion needs nothing from a peer beyond its post.  The request
+///      is complete once every transfer touching this rank is done -- its
+///      sends consumed (the send buffer becomes reusable) and its receives
+///      landed.  Crucially this never waits on transfers between two OTHER
+///      ranks: there is no global all-ranks barrier, which is what lets a
+///      chunked exchange's waits collapse to near zero when the posts were
+///      spread across compute;
 ///   2. finalizes once per request: fault injection over the completed
 ///      receive stream, then completion accounting, with the last
 ///      finalizer retiring the matching-table entry.
-/// Blocking mode waits watchdog-registered; test mode returns false
-/// instead.  Unwinds with the poison error when the communicator dies or
-/// is revoked mid-flight, and with the recorded pair mismatch when any
-/// two endpoints disagreed on exchange metadata.
+/// Blocking mode waits watchdog-registered; test mode copies its column
+/// and returns false instead of blocking.  Unwinds with the poison error
+/// when the communicator dies or is revoked mid-flight, and with the
+/// recorded pair mismatch when any two endpoints disagreed on exchange
+/// metadata.
 bool complete_nb(detail::RequestState& st, bool blocking) {
   auto& ctx = *st.ctx;
   auto& op = *st.op;
@@ -1168,27 +1298,30 @@ bool complete_nb(detail::RequestState& st, bool blocking) {
 
   std::unique_lock lock(ctx.mu);
   if (st.done) return true;
-  auto check_failed = [&] {
-    if (!op.failed.empty()) throw core::CommError(op.failed);
-  };
-  check_failed();
   auto mine_done = [&] {
     return op.done_out[r] == ctx.size && op.done_in[r] == ctx.size;
   };
-  if (!mine_done()) {
-    if (!blocking) {
-      detail::check_alive_locked(ctx);
-      return false;
+  std::optional<ProgressBoard::Scope> blocked;
+  for (;;) {
+    if (!op.failed.empty()) throw core::CommError(op.failed);
+    if (mine_done()) break;
+    detail::check_alive_locked(ctx);
+    const std::vector<Transfer> jobs = claim_locked(st, /*row=*/blocking);
+    if (!jobs.empty()) {
+      lock.unlock();
+      run_transfers(ctx, op, jobs);
+      lock.lock();
+      continue;
     }
-    ProgressBoard::Scope blocked(
-        ctx.board.get(), detail::blocked_info(ctx, st.comm_rank, st.kind,
-                                              st.tag, st.key.seq));
-    ctx.cv.wait(lock, [&] {
-      return mine_done() || !op.failed.empty() || ctx.aborted;
-    });
-    check_failed();
-    if (!mine_done()) detail::check_alive_locked(ctx);
+    if (!blocking) return false;
+    if (!blocked) {
+      blocked.emplace(ctx.board.get(),
+                      detail::blocked_info(ctx, st.comm_rank, st.kind, st.tag,
+                                           st.key.seq));
+    }
+    ctx.cv.wait(lock);
   }
+  blocked.reset();
 
   if (!st.pulled) {
     st.pulled = true;
@@ -1290,142 +1423,49 @@ Request Comm::post_nb_exchange(CommOpKind kind, const void* send_base,
                      : sent_elems * (elem_size / sizeof(double)) *
                            wire_scalar_bytes(wire);
 
-  std::shared_ptr<OpState> op;
-  // Transfers this post enables, claimed under the lock and copied below
-  // with it released: (sender, receiver) pairs where both endpoints have
-  // now posted.  The later-posting endpoint always carries the pair's
-  // traffic, so waits only synchronize -- they never copy.
-  std::vector<std::pair<std::size_t, std::size_t>> jobs;
-  {
-    std::unique_lock lock(ctx_->mu);
-    detail::check_alive_locked(*ctx_);
-    detail::validate_entry_locked(*ctx_, key, rank_);
-    auto& slot = ctx_->ops[key];
-    if (!slot) slot = std::make_shared<OpState>(ctx_->size);
-    op = slot;
-    if (op->nb_send.empty()) {
-      op->nb_send.resize(n);
-      op->nb_recv.resize(n);
-      op->nb_recv_base.assign(n, nullptr);
-      op->nb_posted.assign(n, 0);
-      op->xfer.assign(n * n, 0);
-      op->done_out.assign(n, 0);
-      op->done_in.assign(n, 0);
-    }
-    auto& side = op->nb_send[r];
-    side.first.assign(n + 1, 0);
-    for (std::size_t p = 0; p < n; ++p) {
-      side.runs.insert(side.runs.end(), sviews[p].begin(), sviews[p].end());
-      side.first[p + 1] = side.runs.size();
-    }
-    auto& rside = op->nb_recv[r];
-    rside.first.assign(n + 1, 0);
-    for (std::size_t p = 0; p < n; ++p) {
-      rside.runs.insert(rside.runs.end(), rviews[p].begin(), rviews[p].end());
-      rside.first[p + 1] = rside.runs.size();
-    }
-    op->nb_recv_base[r] = recv_base;
-    op->send[r] = send_base;
-    op->scalar[r] = elem_size;
-    op->scalar2[r] = static_cast<std::size_t>(wire);
-    op->nb_posted[r] = 1;
-    ++op->arrived;
-    op->arrived_ranks.push_back(rank_);
-    FX_ASSERT(op->arrived <= ctx_->size, "collective over-subscribed");
-    if (op->arrived == ctx_->size) op->ready = true;
-
-    // Metadata agreement per enabled pair (cheap, under the lock): element
-    // sizes and pairwise stream lengths.  A mismatch poisons the whole op
-    // so every participant unwinds with the same diagnosis instead of
-    // hanging into the watchdog.
-    auto pair_error = [&](std::size_t p, std::size_t q) -> std::string {
-      if (op->scalar[p] != op->scalar[q]) {
-        return core::cat(
-            "nonblocking exchange element size mismatch on comm ", ctx_->id,
-            " (tag ", tag, "): rank ", p, " (world ",
-            detail::wrank(*ctx_, static_cast<int>(p)), ") uses ",
-            op->scalar[p], " B, but rank ", q, " (world ",
-            detail::wrank(*ctx_, static_cast<int>(q)), ") uses ",
-            op->scalar[q], " B");
-      }
-      if (op->scalar2[p] != op->scalar2[q]) {
-        return core::cat(
-            "nonblocking exchange wire format mismatch on comm ", ctx_->id,
-            " (tag ", tag, "): rank ", p, " (world ",
-            detail::wrank(*ctx_, static_cast<int>(p)), ") uses ",
-            to_string(static_cast<WireFormat>(op->scalar2[p])), ", but rank ",
-            q, " (world ", detail::wrank(*ctx_, static_cast<int>(q)),
-            ") uses ", to_string(static_cast<WireFormat>(op->scalar2[q])));
-      }
-      const auto& ss = op->nb_send[p];
-      const auto& rs = op->nb_recv[q];
-      const std::size_t theirs =
-          run_span_elems(ss.runs, ss.first[q], ss.first[q + 1]);
-      const std::size_t mine =
-          run_span_elems(rs.runs, rs.first[p], rs.first[p + 1]);
-      if (theirs != mine) {
-        return core::cat(
-            "nonblocking exchange count mismatch on comm ", ctx_->id,
-            " (tag ", tag, "): rank ", p, " (world ",
-            detail::wrank(*ctx_, static_cast<int>(p)), ") sends ", theirs,
-            " element(s) of ", op->scalar[p], " B to rank ", q, " (world ",
-            detail::wrank(*ctx_, static_cast<int>(q)), "), which expects ",
-            mine, " element(s)");
-      }
-      return {};
-    };
-    auto claim = [&](std::size_t p, std::size_t q) {
-      std::uint8_t& s = op->xfer[p * n + q];
-      if (s != 0) return;
-      std::string err = pair_error(p, q);
-      if (!err.empty()) {
-        // This post never runs its jobs: release them, so nobody waits on
-        // a claimed transfer that will not happen.
-        for (const auto& [jp, jq] : jobs) op->xfer[jp * n + jq] = 0;
-        op->failed = err;
-        ctx_->cv.notify_all();
-        throw core::CommError(err);
-      }
-      s = 1;
-      jobs.emplace_back(p, q);
-    };
-    for (std::size_t q = 0; q < n; ++q) {
-      if (!op->nb_posted[q]) continue;
-      claim(r, q);
-      if (q != r) claim(q, r);
-    }
-    state->op = op;
+  std::unique_lock lock(ctx_->mu);
+  detail::check_alive_locked(*ctx_);
+  detail::validate_entry_locked(*ctx_, key, rank_);
+  auto& slot = ctx_->ops[key];
+  if (!slot) slot = std::make_shared<OpState>(ctx_->size);
+  OpState& op = *slot;
+  if (op.nb_send.empty()) {
+    op.nb_send.resize(n);
+    op.nb_recv.resize(n);
+    op.nb_recv_base.assign(n, nullptr);
+    op.nb_posted.assign(n, 0);
+    op.xfer.assign(n * n, 0);
+    op.done_out.assign(n, 0);
+    op.done_in.assign(n, 0);
   }
-  // Execute the claimed transfers peer-direct with the lock released: the
-  // posted views and buffers are immutable, both endpoints' buffers stay
-  // valid until their waits return, and distinct transfers never overlap
-  // (each receiver's per-peer views are disjoint by contract).
-  double max_ulp = 0.0;
-  for (const auto& [p, q] : jobs) {
-    const auto& ss = op->nb_send[p];
-    const auto& rs = op->nb_recv[q];
-    const double e = move_runs(
-        static_cast<const unsigned char*>(op->send[p]),
-        ss.runs.data() + ss.first[q], ss.first[q + 1] - ss.first[q],
-        static_cast<unsigned char*>(op->nb_recv_base[q]),
-        rs.runs.data() + rs.first[p], rs.first[p + 1] - rs.first[p],
-        elem_size, wire);
-    if (e > max_ulp) max_ulp = e;
+  auto& side = op.nb_send[r];
+  side.first.assign(n + 1, 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    side.runs.insert(side.runs.end(), sviews[p].begin(), sviews[p].end());
+    side.first[p + 1] = side.runs.size();
   }
-  // One gauge update per post, not per double: the copy loops accumulate
-  // locally and the peak lands here.
-  if (wire != WireFormat::Fp64 && !jobs.empty()) {
-    wire_ulp_gauge().max_of(max_ulp);
+  auto& rside = op.nb_recv[r];
+  rside.first.assign(n + 1, 0);
+  for (std::size_t p = 0; p < n; ++p) {
+    rside.runs.insert(rside.runs.end(), rviews[p].begin(), rviews[p].end());
+    rside.first[p + 1] = rside.runs.size();
   }
-  if (!jobs.empty()) {
-    std::lock_guard lock(ctx_->mu);
-    for (const auto& [p, q] : jobs) {
-      op->xfer[p * n + q] = 2;
-      ++op->done_out[p];
-      ++op->done_in[q];
-    }
-    ctx_->cv.notify_all();
-  }
+  op.nb_recv_base[r] = recv_base;
+  op.send[r] = send_base;
+  op.scalar[r] = elem_size;
+  op.scalar2[r] = static_cast<std::size_t>(wire);
+  op.nb_posted[r] = 1;
+  ++op.arrived;
+  op.arrived_ranks.push_back(rank_);
+  FX_ASSERT(op.arrived <= ctx_->size, "collective over-subscribed");
+  if (op.arrived == ctx_->size) op.ready = true;
+  state->op = slot;
+  const std::vector<Transfer> jobs = claim_locked(*state, /*row=*/false);
+  lock.unlock();
+  // Wake blocked waiters before copying: a receiver already in wait() then
+  // pulls its column from this rank while this post pulls its own.
+  ctx_->cv.notify_all();
+  run_transfers(*ctx_, op, jobs);
   rank_state_->bytes_sent.fetch_add(state->bytes, std::memory_order_relaxed);
   nb_metrics().posted.add();
   return Request{std::move(state)};

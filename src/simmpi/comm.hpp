@@ -193,16 +193,20 @@ class Comm {
 
   // --- Nonblocking collectives ---
   //
-  // Posting registers this rank's buffers and returns immediately; no
-  // global rendezvous happens until wait()/test().  Progress runs in the
-  // waiter: once every rank of the communicator has posted the matching
-  // operation, each waiter pulls its own receive payload directly from the
-  // peers' send buffers (peer-direct copies, no barrier).  A request
-  // completes only after *every* rank has pulled, so send buffers must stay
-  // valid until the local wait() returns -- the same guarantee the blocking
-  // collectives give.  Matching follows the blocking rules: (kind, tag,
-  // per-rank sequence); several nonblocking exchanges may be in flight on
-  // one tag as long as all ranks post them in the same order.
+  // Posting registers this rank's buffers, pulls whatever receive payload
+  // already-posted peers can supply, and returns; there is no global
+  // rendezvous.  Progress runs in the caller: each rank pulls its own
+  // receive payload directly from the peers' send buffers (peer-direct
+  // copies, no barrier) at its post and at every test() and wait().  A
+  // rank blocked in wait() whose receives have all landed also pushes its
+  // own sends that a peer has not pulled yet, so a wait never depends on a
+  // peer polling.  A request completes once its own row and column are
+  // done: every peer has pulled this rank's sends and every receive has
+  // landed.  Send buffers must therefore stay valid until the local wait()
+  // returns -- the same guarantee the blocking collectives give.  Matching
+  // follows the blocking rules: (kind, tag, per-rank sequence); several
+  // nonblocking exchanges may be in flight on one tag as long as all ranks
+  // post them in the same order.
 
   /// Nonblocking alltoall_bytes.  Buffers (send, recv) must stay valid and
   /// unmodified until the returned request completes.

@@ -72,12 +72,15 @@ struct OpState {
 
   // Nonblocking exchange (Ialltoall/Ialltoallv): per-rank send AND recv
   // views, copied at post time so the engine can move payload long after
-  // the posting frame returned.  Each pairwise transfer p->q executes
-  // eagerly, claimed at post time by whichever endpoint posts later, so a
-  // rank's wait blocks only until its own row (sends consumed) and column
-  // (receives landed) are done -- never on a global all-ranks-pulled
-  // barrier.  Send and recv buffers stay valid until the local wait
-  // returns, which the row/column condition guarantees.
+  // the posting frame returned.  The receiver copies: rank q claims each
+  // transfer p->q into its own column once p has posted, at q's post and
+  // again at each of its test() and wait() calls; a rank blocked in wait()
+  // whose column is complete also claims its own still-pending row.  A
+  // rank's wait therefore blocks only until its own row (sends consumed)
+  // and column (receives landed) are done -- never on a global all-ranks
+  // barrier, and never on a peer that is not polling.  Send and recv
+  // buffers stay valid until the local wait returns, which the row/column
+  // condition guarantees.
   struct NbSide {
     std::vector<SegRun> runs;        ///< all peers' runs, concatenated
     std::vector<std::size_t> first;  ///< size n+1: peer p's runs span
@@ -108,10 +111,11 @@ struct P2pKey {
 ///
 /// For nonblocking collectives (op != nullptr) the state additionally
 /// carries this rank's receive-side view (copied at post time, also
-/// registered in the OpState for peer-side eager transfers) and the
-/// finalization flag `pulled` (corruption injection + completion
-/// accounting run once per request).  The OpState is shared; this struct
-/// holds only per-rank state, so there is no ownership cycle.
+/// registered in the OpState, from which whichever endpoint claims a
+/// transfer reads both sides) and the finalization flag `pulled`
+/// (corruption injection + completion accounting run once per request).
+/// The OpState is shared; this struct holds only per-rank state, so there
+/// is no ownership cycle.
 struct RequestState {
   RequestState() = default;
   /// Withdraws an abandoned nonblocking collective (see comm.cpp).

@@ -311,6 +311,68 @@ TEST(NonblockingCollective, SeveralInFlightSameTagMatchInPostOrder) {
   });
 }
 
+TEST(NonblockingCollective, EachRankCopiesItsOwnColumn) {
+  // Receiver-copies rule: rank 1's later post pulls only its own column,
+  // so the transfer 1 -> 0 is still pending when that post returns and
+  // lands in rank 0's buffer only through rank 0's own wait().
+  std::atomic<int> stage{0};
+  Runtime::run(2, quiet_options(), [&](Comm& comm) {
+    const int me = comm.rank();
+    std::vector<double> send(2, 10.0 + me);
+    std::vector<double> recv(2, -1.0);
+    if (me == 0) {
+      Request r =
+          comm.ialltoall_bytes(send.data(), recv.data(), sizeof(double));
+      stage = 1;  // rank 0's post returned
+      while (stage.load() < 2) std::this_thread::yield();
+      EXPECT_EQ(recv[1], -1.0) << "rank 1's post copied into rank 0's column";
+      stage = 3;  // rank 0 read its slot; rank 1 may wait now
+      r.wait();
+      EXPECT_EQ(recv[1], 11.0);
+    } else {
+      while (stage.load() < 1) std::this_thread::yield();
+      Request r =
+          comm.ialltoall_bytes(send.data(), recv.data(), sizeof(double));
+      stage = 2;  // rank 1's post returned
+      while (stage.load() < 3) std::this_thread::yield();
+      r.wait();
+    }
+    EXPECT_EQ(recv[static_cast<std::size_t>(me)], 10.0 + me);
+    EXPECT_EQ(recv[static_cast<std::size_t>(1 - me)], 11.0 - me);
+  });
+}
+
+TEST(NonblockingCollective, BlockedWaiterFinishesItsRowAlone) {
+  // Rank 0 posts and then does not poll until rank 1's wait() returned:
+  // rank 1, blocked with its column complete, must copy its own row
+  // (1 -> 0) rather than wait for a receiver that is not polling.
+  std::atomic<bool> posted0{false};
+  std::atomic<bool> waited1{false};
+  Runtime::run(2, quiet_options(), [&](Comm& comm) {
+    const int me = comm.rank();
+    std::vector<double> send(2, 10.0 + me);
+    std::vector<double> recv(2, -1.0);
+    if (me == 0) {
+      Request r =
+          comm.ialltoall_bytes(send.data(), recv.data(), sizeof(double));
+      posted0 = true;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!waited1 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      EXPECT_TRUE(waited1.load()) << "rank 1's wait needed rank 0 to poll";
+      r.wait();
+    } else {
+      while (!posted0) std::this_thread::yield();
+      comm.ialltoall_bytes(send.data(), recv.data(), sizeof(double)).wait();
+      waited1 = true;
+    }
+    EXPECT_EQ(recv[static_cast<std::size_t>(me)], 10.0 + me);
+    EXPECT_EQ(recv[static_cast<std::size_t>(1 - me)], 11.0 - me);
+  });
+}
+
 TEST(NonblockingCollective, AliasedBuffersThrow) {
   EXPECT_THROW(Runtime::run(1,
                             [&](Comm& comm) {
