@@ -1,5 +1,6 @@
 #include "fftx/guarded.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -55,94 +56,6 @@ bool default_guard_exchanges() {
   return on;
 }
 
-void guarded_alltoallv(mpi::Comm& comm, const fft::cplx* send,
-                       const std::size_t* scounts, const std::size_t* sdispls,
-                       fft::cplx* recv, const std::size_t* rcounts,
-                       const std::size_t* rdispls, int tag, int max_retries,
-                       GuardStats* stats, double deadline_s) {
-  const auto n = static_cast<std::size_t>(comm.size());
-  std::vector<std::uint64_t> sent_sums(n);
-  std::vector<std::uint64_t> want_sums(n);
-
-  // The retry schedule comes from the unified policy (FFTX_RETRY_* env
-  // knobs); the caller's max_retries still bounds the attempt count and the
-  // caller's deadline tightens the wall-clock budget.  The salt is identical
-  // on every rank, so the jittered backoff is too -- ranks sleep and
-  // re-enter the exchange in lockstep.
-  core::RetryPolicy policy = core::RetryPolicy::from_env();
-  policy.max_attempts = max_retries + 1;
-  policy.deadline_s =
-      core::RetryPolicy::merge_deadline_s(policy.deadline_s, deadline_s);
-  core::RetryController retry(
-      policy, (static_cast<std::uint64_t>(comm.id()) << 32) ^
-                  static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
-
-  for (;;) {
-    for (std::size_t p = 0; p < n; ++p) {
-      sent_sums[p] =
-          fnv1a(send + sdispls[p], scounts[p] * sizeof(fft::cplx));
-    }
-    // The digest exchange is an Alltoall: a distinct collective kind, so it
-    // matches independently of the same-tag payload Alltoallv below.
-    comm.alltoall_bytes(sent_sums.data(), want_sums.data(),
-                        sizeof(std::uint64_t), tag);
-    comm.alltoallv(send, scounts, sdispls, recv, rcounts, rdispls, tag);
-
-    int bad_peer = -1;
-    for (std::size_t p = 0; p < n; ++p) {
-      if (fnv1a(recv + rdispls[p], rcounts[p] * sizeof(fft::cplx)) !=
-          want_sums[p]) {
-        bad_peer = static_cast<int>(p);
-        break;
-      }
-    }
-    if (bad_peer >= 0) guard_metrics().checksum_failures.add();
-    // Agree globally so every rank retries (or accepts) in lockstep: send
-    // buffers stay valid and the per-(kind, tag) sequence counters advance
-    // identically on all ranks.
-    int ok = bad_peer < 0 ? 1 : 0;
-    int all_ok = 0;
-    comm.allreduce(&ok, &all_ok, 1, mpi::ReduceOp::Min, tag);
-    if (all_ok == 1) {
-      guard_metrics().exchanges.add();
-      if (stats != nullptr) {
-        stats->exchanges.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    // The deadline check reads each rank's own clock, so agree on whether
-    // to continue -- otherwise one rank could throw while its peers re-enter
-    // the exchange and hang.
-    int cont = retry.should_retry() ? 1 : 0;
-    int all_cont = 0;
-    comm.allreduce(&cont, &all_cont, 1, mpi::ReduceOp::Min, tag);
-    if (all_cont == 0) {
-      throw core::CommError(core::cat(
-          "guarded alltoallv: payload corruption persists after ",
-          retry.attempt(), " retries on comm ", comm.id(), " (tag ", tag,
-          "): rank ", comm.rank(),
-          bad_peer >= 0
-              ? core::cat(" sees a checksum mismatch in the segment from "
-                          "rank ",
-                          bad_peer)
-              : std::string(" is retrying for a corrupted peer")));
-    }
-    guard_metrics().retries.add();
-    if (stats != nullptr) {
-      stats->retries.fetch_add(1, std::memory_order_relaxed);
-    }
-    // One incident per agreed retry round (all ranks re-enter together, so
-    // rank 0 speaks for the collective); the observatory's sink snapshots
-    // the flight recorder around the corruption.
-    if (comm.rank() == 0) {
-      core::emit_incident(core::cat("guard: checksum retry on comm ",
-                                    comm.id(), " (tag ", tag, ", attempt ",
-                                    retry.attempt(), ")"));
-    }
-    guard_metrics().retry_backoff_ms.record(retry.backoff());
-  }
-}
-
 namespace {
 
 /// Digest of the logical element stream of one scatter-gather segment.
@@ -188,45 +101,54 @@ std::uint64_t fnv1a_view_wire(const fft::cplx* base, mpi::SegView view,
   return h;
 }
 
-}  // namespace
-
-void guarded_alltoallv_view(mpi::Comm& comm, const fft::cplx* send_base,
-                            std::span<const mpi::SegView> sviews,
-                            fft::cplx* recv_base,
-                            std::span<const mpi::SegView> rviews, int tag,
-                            int max_retries, GuardStats* stats,
-                            mpi::WireFormat wire, double deadline_s) {
+/// The guard's one retry loop (see guarded.hpp): `send_digest(p)` and
+/// `recv_digest(p)` digest the segment sent to / received from peer p, and
+/// `payload()` runs the payload exchange.  `what` names the exchange in
+/// the exhaustion error.
+template <typename SendDigest, typename RecvDigest, typename Payload>
+void guarded_exchange(mpi::Comm& comm, int tag, int max_retries,
+                      GuardStats* stats, const core::Deadline& deadline,
+                      const char* what, SendDigest&& send_digest,
+                      RecvDigest&& recv_digest, Payload&& payload) {
   const auto n = static_cast<std::size_t>(comm.size());
   std::vector<std::uint64_t> sent_sums(n);
   std::vector<std::uint64_t> want_sums(n);
 
+  // The retry schedule comes from the unified policy (FFTX_RETRY_* env
+  // knobs); the caller's max_retries still bounds the attempt count and a
+  // live deadline tightens the wall-clock budget to what remains of it --
+  // floored so an expired budget still permits the mandatory first attempt
+  // (the collective must complete; the caller's next lockstep check
+  // cancels).  The salt is identical on every rank, so the jittered
+  // backoff is too -- ranks sleep and re-enter the exchange in lockstep.
   core::RetryPolicy policy = core::RetryPolicy::from_env();
   policy.max_attempts = max_retries + 1;
-  policy.deadline_s =
-      core::RetryPolicy::merge_deadline_s(policy.deadline_s, deadline_s);
+  policy.deadline_s = core::RetryPolicy::merge_deadline_s(
+      policy.deadline_s,
+      deadline.active() ? std::max(deadline.remaining_s(), 1e-3) : 0.0);
   core::RetryController retry(
       policy, (static_cast<std::uint64_t>(comm.id()) << 32) ^
                   static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag)));
 
   for (;;) {
-    for (std::size_t p = 0; p < n; ++p) {
-      sent_sums[p] = fnv1a_view_wire(send_base, sviews[p], wire);
-    }
-    // Digests ride an Alltoall (distinct kind), the payload the blocking
-    // view exchange -- same matching discipline as the contiguous form.
+    for (std::size_t p = 0; p < n; ++p) sent_sums[p] = send_digest(p);
+    // The digest exchange is an Alltoall: a distinct collective kind, so it
+    // matches independently of the same-tag payload exchange below.
     comm.alltoall_bytes(sent_sums.data(), want_sums.data(),
                         sizeof(std::uint64_t), tag);
-    comm.alltoallv_view(send_base, sviews, recv_base, rviews,
-                        sizeof(fft::cplx), tag, wire);
+    payload();
 
     int bad_peer = -1;
     for (std::size_t p = 0; p < n; ++p) {
-      if (fnv1a_view_wire(recv_base, rviews[p], wire) != want_sums[p]) {
+      if (recv_digest(p) != want_sums[p]) {
         bad_peer = static_cast<int>(p);
         break;
       }
     }
     if (bad_peer >= 0) guard_metrics().checksum_failures.add();
+    // Agree globally so every rank retries (or accepts) in lockstep: send
+    // buffers stay valid and the per-(kind, tag) sequence counters advance
+    // identically on all ranks.
     int ok = bad_peer < 0 ? 1 : 0;
     int all_ok = 0;
     comm.allreduce(&ok, &all_ok, 1, mpi::ReduceOp::Min, tag);
@@ -237,15 +159,17 @@ void guarded_alltoallv_view(mpi::Comm& comm, const fft::cplx* send_base,
       }
       return;
     }
+    // The deadline check reads each rank's own clock, so agree on whether
+    // to continue -- otherwise one rank could throw while its peers re-enter
+    // the exchange and hang.
     int cont = retry.should_retry() ? 1 : 0;
     int all_cont = 0;
     comm.allreduce(&cont, &all_cont, 1, mpi::ReduceOp::Min, tag);
     if (all_cont == 0) {
       throw core::CommError(core::cat(
-          "guarded alltoallv (fused view): payload corruption persists "
-          "after ",
-          retry.attempt(), " retries on comm ", comm.id(), " (tag ", tag,
-          "): rank ", comm.rank(),
+          what, ": payload corruption persists after ", retry.attempt(),
+          " retries on comm ", comm.id(), " (tag ", tag, "): rank ",
+          comm.rank(),
           bad_peer >= 0
               ? core::cat(" sees a checksum mismatch in the segment from "
                           "rank ",
@@ -256,6 +180,9 @@ void guarded_alltoallv_view(mpi::Comm& comm, const fft::cplx* send_base,
     if (stats != nullptr) {
       stats->retries.fetch_add(1, std::memory_order_relaxed);
     }
+    // One incident per agreed retry round (all ranks re-enter together, so
+    // rank 0 speaks for the collective); the observatory's sink snapshots
+    // the flight recorder around the corruption.
     if (comm.rank() == 0) {
       core::emit_incident(core::cat("guard: checksum retry on comm ",
                                     comm.id(), " (tag ", tag, ", attempt ",
@@ -263,6 +190,48 @@ void guarded_alltoallv_view(mpi::Comm& comm, const fft::cplx* send_base,
     }
     guard_metrics().retry_backoff_ms.record(retry.backoff());
   }
+}
+
+}  // namespace
+
+void guarded_alltoallv(mpi::Comm& comm, const fft::cplx* send,
+                       const std::size_t* scounts, const std::size_t* sdispls,
+                       fft::cplx* recv, const std::size_t* rcounts,
+                       const std::size_t* rdispls, int tag, int max_retries,
+                       GuardStats* stats, const core::Deadline& deadline) {
+  guarded_exchange(
+      comm, tag, max_retries, stats, deadline, "guarded alltoallv",
+      [&](std::size_t p) {
+        return fnv1a(send + sdispls[p], scounts[p] * sizeof(fft::cplx));
+      },
+      [&](std::size_t p) {
+        return fnv1a(recv + rdispls[p], rcounts[p] * sizeof(fft::cplx));
+      },
+      [&] {
+        comm.alltoallv(send, scounts, sdispls, recv, rcounts, rdispls, tag);
+      });
+}
+
+void guarded_alltoallv_view(mpi::Comm& comm, const fft::cplx* send_base,
+                            std::span<const mpi::SegView> sviews,
+                            fft::cplx* recv_base,
+                            std::span<const mpi::SegView> rviews, int tag,
+                            int max_retries, GuardStats* stats,
+                            mpi::WireFormat wire,
+                            const core::Deadline& deadline) {
+  guarded_exchange(
+      comm, tag, max_retries, stats, deadline,
+      "guarded alltoallv (fused view)",
+      [&](std::size_t p) {
+        return fnv1a_view_wire(send_base, sviews[p], wire);
+      },
+      [&](std::size_t p) {
+        return fnv1a_view_wire(recv_base, rviews[p], wire);
+      },
+      [&] {
+        comm.alltoallv_view(send_base, sviews, recv_base, rviews,
+                            sizeof(fft::cplx), tag, wire);
+      });
 }
 
 }  // namespace fx::fftx

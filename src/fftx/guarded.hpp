@@ -7,11 +7,16 @@
 // each rank checksums every segment it sends, peers exchange the expected
 // checksums (an Alltoall -- a different collective kind, so it can never
 // be confused with the payload exchange under the same tag), and after the
-// payload Alltoallv every rank verifies what it received.  A global
+// payload exchange every rank verifies what it received.  A global
 // agreement allreduce (Min) decides pass/fail, so either all ranks accept
 // or all ranks retry together -- send buffers are still live and the
 // per-(kind, tag) sequence counters stay aligned.  Bounded retries; on
 // exhaustion a structured core::CommError names the mismatching segment.
+//
+// Both entry points run one retry loop; they differ only in the digest
+// and in the payload call, which keeps its own collective kind (Alltoallv
+// for the contiguous form, the view exchange's Ialltoallv for the fused
+// form), so fault plans select each one by kind.
 //
 // Enabled per pipeline via PipelineConfig::guard_exchanges, defaulting to
 // the FFTX_GUARD_EXCHANGES environment variable (off when unset).
@@ -21,6 +26,7 @@
 #include <cstdint>
 #include <span>
 
+#include "core/deadline.hpp"
 #include "fft/types.hpp"
 #include "simmpi/comm.hpp"
 
@@ -44,17 +50,18 @@ struct GuardStats {
 
 /// Alltoallv with end-to-end payload verification and bounded retry (see
 /// file comment).  Collective over `comm`; every rank must pass the same
-/// `tag`, `max_retries`, and `deadline_s`.  Throws core::CommError when
-/// `max_retries` retries still leave a corrupted segment.  A positive
-/// `deadline_s` tightens the retry loop's wall-clock budget (merged with
-/// FFTX_RETRY_DEADLINE_S): retries stop -- in lockstep, via the existing
-/// continue/throw agreement -- once the budget is spent, and backoff sleeps
-/// never overshoot it.
+/// `tag`, `max_retries`, and `deadline`.  Throws core::CommError when
+/// `max_retries` retries still leave a corrupted segment.  An active
+/// `deadline` tightens the retry loop's wall-clock budget to what remains
+/// of it (merged with FFTX_RETRY_DEADLINE_S, and floored at 1 ms so an
+/// expired budget still runs the first attempt): retries stop -- in
+/// lockstep, via the existing continue/throw agreement -- once the budget
+/// is spent, and backoff sleeps never overshoot it.
 void guarded_alltoallv(mpi::Comm& comm, const fft::cplx* send,
                        const std::size_t* scounts, const std::size_t* sdispls,
                        fft::cplx* recv, const std::size_t* rcounts,
                        const std::size_t* rdispls, int tag, int max_retries,
-                       GuardStats* stats, double deadline_s = 0.0);
+                       GuardStats* stats, const core::Deadline& deadline = {});
 
 /// Scatter-gather form of guarded_alltoallv for the fused (zero-copy)
 /// transpose layouts: per-peer segments are mpi::SegView run lists over the
@@ -78,7 +85,7 @@ void guarded_alltoallv_view(mpi::Comm& comm, const fft::cplx* send_base,
                             std::span<const mpi::SegView> rviews, int tag,
                             int max_retries, GuardStats* stats,
                             mpi::WireFormat wire = mpi::WireFormat::Fp64,
-                            double deadline_s = 0.0);
+                            const core::Deadline& deadline = {});
 
 /// Default of PipelineConfig::guard_exchanges: FFTX_GUARD_EXCHANGES != 0.
 [[nodiscard]] bool default_guard_exchanges();

@@ -80,7 +80,7 @@ std::size_t chunk_bound(std::size_t n, int c, int nchunks) {
   return n * static_cast<std::size_t>(c) / static_cast<std::size_t>(nchunks);
 }
 
-//// Applies the wire round-trip to one value (identity at Fp64).  The
+/// Applies the wire round-trip to one value (identity at Fp64).  The
 /// ntg == 1 pack/unpack shortcuts use this to reproduce exactly the
 /// quantization the multi-group exchanges apply, keeping outputs
 /// bit-identical across decompositions at every wire format.
@@ -418,42 +418,22 @@ std::vector<int> BandFftPipeline::abft_corrupt_bands() const {
   return abft_ != nullptr ? abft_->corrupt_bands() : std::vector<int>{};
 }
 
-void BandFftPipeline::exchange(mpi::Comm& comm, const cplx* send,
-                               const std::size_t* scounts,
-                               const std::size_t* sdispls, cplx* recv,
-                               const std::size_t* rcounts,
-                               const std::size_t* rdispls, int tag) {
-  if (cfg_.guard_exchanges) {
-    // A live deadline bounds the guard's retry loop: the budget that
-    // remains now is all this exchange may spend on corruption retries
-    // (floored so an expired budget still permits the mandatory first
-    // attempt -- the collective must complete; the next iteration boundary
-    // cancels).
-    const double budget = cfg_.deadline.active()
-                              ? std::max(cfg_.deadline.remaining_s(), 1e-3)
-                              : 0.0;
-    guarded_alltoallv(comm, send, scounts, sdispls, recv, rcounts, rdispls,
-                      tag, cfg_.guard_max_retries, &guard_stats_, budget);
-  } else {
-    comm.alltoallv(send, scounts, sdispls, recv, rcounts, rdispls, tag);
-  }
-}
-
-void BandFftPipeline::exchange_view(mpi::Comm& comm, const cplx* send_base,
-                                    std::span<const mpi::SegView> sviews,
-                                    cplx* recv_base,
-                                    std::span<const mpi::SegView> rviews,
-                                    int tag) {
-  if (cfg_.guard_exchanges) {
-    const double budget = cfg_.deadline.active()
-                              ? std::max(cfg_.deadline.remaining_s(), 1e-3)
-                              : 0.0;
-    guarded_alltoallv_view(comm, send_base, sviews, recv_base, rviews, tag,
+void BandFftPipeline::transpose(const Transpose& t, int tag) {
+  mpi::Comm& comm = *t.comm;
+  if (fused_ && cfg_.guard_exchanges) {
+    guarded_alltoallv_view(comm, t.send, t.sviews, t.recv, t.rviews, tag,
                            cfg_.guard_max_retries, &guard_stats_,
-                           cfg_.wire_format, budget);
+                           cfg_.wire_format, cfg_.deadline);
+  } else if (fused_) {
+    comm.alltoallv_view(t.send, t.sviews, t.recv, t.rviews, sizeof(cplx), tag,
+                        cfg_.wire_format);
+  } else if (cfg_.guard_exchanges) {
+    guarded_alltoallv(comm, t.send, t.scounts, t.sdispls, t.recv, t.rcounts,
+                      t.rdispls, tag, cfg_.guard_max_retries, &guard_stats_,
+                      cfg_.deadline);
   } else {
-    comm.alltoallv_view(send_base, sviews, recv_base, rviews, sizeof(cplx),
-                        tag, cfg_.wire_format);
+    comm.alltoallv(t.send, t.scounts, t.sdispls, t.recv, t.rcounts, t.rdispls,
+                   tag);
   }
 }
 
@@ -480,13 +460,7 @@ const BandFftPipeline::ExchangeStage BandFftPipeline::kUnpack{
 void BandFftPipeline::do_exchange(const ExchangeStage& x, WorkBuffers& wb,
                                   int iter) {
   const Transpose t = (this->*x.before)(wb, iter);
-  if (t.comm != nullptr && fused_) {
-    exchange_view(*t.comm, t.send, t.sviews, t.recv, t.rviews,
-                  /*tag=*/iter);
-  } else if (t.comm != nullptr) {
-    exchange(*t.comm, t.send, t.scounts, t.sdispls, t.recv, t.rcounts,
-             t.rdispls, /*tag=*/iter);
-  }
+  if (t.comm != nullptr) transpose(t, /*tag=*/iter);
   if (x.after != nullptr) (this->*x.after)(wb, iter);
 }
 
@@ -946,8 +920,9 @@ void BandFftPipeline::do_fft_z_scatter_fw(WorkBuffers& wb, int iter,
       const auto [lo, hi] = chunk_views(c, sviews, rviews);
       fft_chunk(lo, hi);
       if (c == 0) zero_planes();
-      exchange_view(scat_, wb.pencil.data(), sviews, wb.planes.data(),
-                    rviews, /*tag=*/iter);
+      transpose({.comm = &scat_, .send = wb.pencil.data(),
+                 .recv = wb.planes.data(), .sviews = sviews, .rviews = rviews},
+                /*tag=*/iter);
     }
     abft_done();
     return;
@@ -1042,8 +1017,9 @@ void BandFftPipeline::do_scatter_bw_fft_z(WorkBuffers& wb, int iter,
   if (cfg_.guard_exchanges) {
     for (int c = 0; c < nchunks; ++c) {
       const auto [lo, hi] = chunk_views(c, sviews, rviews);
-      exchange_view(scat_, wb.planes.data(), sviews, wb.pencil.data(),
-                    rviews, /*tag=*/iter);
+      transpose({.comm = &scat_, .send = wb.planes.data(),
+                 .recv = wb.pencil.data(), .sviews = sviews, .rviews = rviews},
+                /*tag=*/iter);
       fft_chunk(lo, hi);
     }
     abft_done();

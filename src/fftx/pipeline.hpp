@@ -256,8 +256,10 @@ class BandFftPipeline {
   std::unique_ptr<WorkBuffers> make_buffers() const;
 
   /// The transpose an exchange stage's before half leaves ready: fused
-  /// scatter-gather views, or staged buffers with counts and displacements.
-  /// A null comm moves nothing (the ntg == 1 pack and unpack are local).
+  /// scatter-gather views, or staged buffers with counts and displacements
+  /// (both move through simmpi's one all-to-all engine; transpose() picks
+  /// the call).  A null comm moves nothing (the ntg == 1 pack and unpack
+  /// are local).
   struct Transpose {
     mpi::Comm* comm = nullptr;
     const fft::cplx* send = nullptr;
@@ -318,19 +320,10 @@ class BandFftPipeline {
   [[nodiscard]] bool deadline_expired_collective(int iter);
   [[noreturn]] void throw_deadline(int iter) const;
 
-  /// All transpose traffic funnels through here: plain Alltoallv, or the
-  /// checksum-guarded variant when cfg_.guard_exchanges is set.
-  void exchange(mpi::Comm& comm, const fft::cplx* send,
-                const std::size_t* scounts, const std::size_t* sdispls,
-                fft::cplx* recv, const std::size_t* rcounts,
-                const std::size_t* rdispls, int tag);
-
-  /// The fused (scatter-gather view) counterpart of exchange(): blocking
-  /// view Alltoallv, or the guarded view variant under guard_exchanges.
-  void exchange_view(mpi::Comm& comm, const fft::cplx* send_base,
-                     std::span<const mpi::SegView> sviews,
-                     fft::cplx* recv_base,
-                     std::span<const mpi::SegView> rviews, int tag);
+  /// Every blocking transpose funnels through here (t.comm non-null): the
+  /// view exchange on the fused layouts, the contiguous Alltoallv on the
+  /// staged ones, each checksum-guarded when cfg_.guard_exchanges is set.
+  void transpose(const Transpose& t, int tag);
 
   /// Compute bit-flip injection hook (FFTX_FAULT_FLIP_*): offers the stage
   /// output buffer to the fault injector.  Called at every stage boundary

@@ -295,14 +295,10 @@ void RecoveryDriver::checkpoint(mpi::Comm& comm, const Descriptor& desc,
     // checksum guard as the pipeline's transposes when guarding is on --
     // otherwise one corrupted gather would silently poison every replica.
     if (cfg_.guard_exchanges) {
-      const double budget =
-          cfg_.deadline.active()
-              ? std::max(cfg_.deadline.remaining_s(), 1e-3)
-              : 0.0;
       guarded_alltoallv(comm, pipe.band(n).data(), scounts.data(),
                         sdispls.data(), gathered.data(), rcounts.data(),
                         rdispls.data(), kCheckpointTag,
-                        cfg_.guard_max_retries, nullptr, budget);
+                        cfg_.guard_max_retries, nullptr, cfg_.deadline);
     } else {
       comm.alltoallv(pipe.band(n).data(), scounts.data(), sdispls.data(),
                      gathered.data(), rcounts.data(), rdispls.data(),

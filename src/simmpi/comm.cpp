@@ -253,13 +253,12 @@ CopyPhase enter_collective(CommContext& ctx, const OpKey& key, int rank,
 
 RequestState::~RequestState() {
   if (op == nullptr || done) return;
-  // A nonblocking collective abandoned before completion: its poster is
-  // unwinding and may free the posted buffers next, so no peer may touch
-  // them again.  Withdraw the transfers nobody claimed yet, wait out the
-  // ones a peer is copying right now (claimed copies never block), and --
-  // unless an abort already unwinds them with its own reason -- fail the
-  // exchange for every peer that would otherwise wait on a withdrawn
-  // transfer.
+  // An exchange abandoned before completion: its poster is unwinding and
+  // may free the posted buffers next, so no peer may touch them again.
+  // Withdraw the transfers nobody claimed yet, wait out the ones a peer is
+  // copying right now (claimed copies never block), and -- unless an
+  // abort already unwinds them with its own reason -- fail the exchange
+  // for every peer that would otherwise wait on a withdrawn transfer.
   const auto n = static_cast<std::size_t>(ctx->size);
   const auto r = static_cast<std::size_t>(comm_rank);
   std::unique_lock lock(ctx->mu);
@@ -313,23 +312,6 @@ int Comm::world_rank() const { return detail::wrank(*ctx_, rank_); }
 
 namespace {
 
-// The transpose collectives are the paper's scaling limiter, so their
-// volume and wait-time distributions are always-on metrics (lock-free
-// records; resolved once per process).
-struct AlltoallMetrics {
-  fx::core::Counter& bytes;
-  fx::core::Histogram& wait_us;
-};
-
-AlltoallMetrics& alltoall_metrics(CommOpKind kind) {
-  auto& reg = fx::core::MetricsRegistry::global();
-  static AlltoallMetrics a2a{reg.counter("simmpi.alltoall.bytes"),
-                             reg.histogram("simmpi.alltoall.wait_us")};
-  static AlltoallMetrics a2av{reg.counter("simmpi.alltoallv.bytes"),
-                              reg.histogram("simmpi.alltoallv.wait_us")};
-  return kind == CommOpKind::Alltoall ? a2a : a2av;
-}
-
 struct EventScope {
   // Emits the CommEvent on destruction (after the operation completed).
   EventScope(detail::RankState& rs, CommOpKind kind, int comm_id,
@@ -341,12 +323,6 @@ struct EventScope {
   }
   ~EventScope() {
     event_.t_end = fx::core::WallTimer::now();
-    if (event_.kind == CommOpKind::Alltoall ||
-        event_.kind == CommOpKind::Alltoallv) {
-      AlltoallMetrics& m = alltoall_metrics(event_.kind);
-      m.bytes.add(event_.bytes);
-      m.wait_us.record((event_.t_end - event_.t_begin) * 1e6);
-    }
     if (auto obs = rs_.get_observer()) {
       obs(event_);
     }
@@ -581,91 +557,6 @@ void Comm::reduce_bytes(const void* send, void* recv, std::size_t count,
     std::memcpy(recv, op->acc.data(), bytes);
     detail::inject_corrupt(*ctx_, rank_, CommOpKind::Reduce, recv, bytes);
   }
-  op.leave();
-}
-
-void Comm::alltoall_bytes(const void* send, void* recv,
-                          std::size_t bytes_per_rank, int tag) {
-  FX_CHECK(send != recv, "alltoall buffers must not alias");
-  EventScope ev(*rank_state_, CommOpKind::Alltoall, id(), size(), tag,
-                bytes_per_rank * static_cast<std::size_t>(size()));
-  detail::inject(*ctx_, rank_, CommOpKind::Alltoall);
-  const OpKey key{static_cast<int>(CommOpKind::Alltoall), tag,
-                  rank_state_->next_seq(static_cast<int>(CommOpKind::Alltoall),
-                                        tag)};
-  const std::size_t r = static_cast<std::size_t>(rank_);
-  auto op = detail::enter_collective(
-      *ctx_, key, rank_,
-      [&](OpState& o) {
-        o.send[r] = send;
-        o.scalar[r] = bytes_per_rank;
-      },
-      [&](OpState&) {});
-  auto* out = static_cast<char*>(recv);
-  for (int p = 0; p < size(); ++p) {
-    const auto pu = static_cast<std::size_t>(p);
-    check_peer_bytes("alltoall", *ctx_, rank_, p, tag, bytes_per_rank,
-                     op->scalar[pu]);
-    const auto* in = static_cast<const char*>(op->send[pu]);
-    std::memcpy(out + pu * bytes_per_rank, in + r * bytes_per_rank,
-                bytes_per_rank);
-  }
-  detail::inject_corrupt(*ctx_, rank_, CommOpKind::Alltoall, recv,
-                         bytes_per_rank * static_cast<std::size_t>(size()));
-  op.leave();
-}
-
-void Comm::alltoallv_bytes(const void* send, const std::size_t* scounts,
-                           const std::size_t* sdispls, void* recv,
-                           const std::size_t* rcounts,
-                           const std::size_t* rdispls, std::size_t elem_size,
-                           int tag) {
-  FX_CHECK(send != recv, "alltoallv buffers must not alias");
-  std::size_t sent_elems = 0;
-  for (int p = 0; p < size(); ++p) {
-    sent_elems += scounts[static_cast<std::size_t>(p)];
-  }
-  EventScope ev(*rank_state_, CommOpKind::Alltoallv, id(), size(), tag,
-                sent_elems * elem_size);
-  detail::inject(*ctx_, rank_, CommOpKind::Alltoallv);
-  const OpKey key{static_cast<int>(CommOpKind::Alltoallv), tag,
-                  rank_state_->next_seq(
-                      static_cast<int>(CommOpKind::Alltoallv), tag)};
-  const std::size_t r = static_cast<std::size_t>(rank_);
-  auto op = detail::enter_collective(
-      *ctx_, key, rank_,
-      [&](OpState& o) {
-        o.send[r] = send;
-        o.pcounts[r] = scounts;
-        o.pdispls[r] = sdispls;
-        o.scalar[r] = elem_size;
-      },
-      [&](OpState&) {});
-  auto* out = static_cast<char*>(recv);
-  std::size_t recv_end = 0;
-  for (int p = 0; p < size(); ++p) {
-    const auto pu = static_cast<std::size_t>(p);
-    check_peer_bytes("alltoallv element", *ctx_, rank_, p, tag, elem_size,
-                     op->scalar[pu]);
-    if (op->pcounts[pu][r] != rcounts[pu]) {
-      throw core::CommError(core::cat(
-          "alltoallv count mismatch on comm ", id(), " (tag ", tag,
-          "): rank ", p, " (world ", detail::wrank(*ctx_, p), ") sends ",
-          op->pcounts[pu][r], " element(s) of ", elem_size, " B to rank ",
-          rank_, " (world ", detail::wrank(*ctx_, rank_), "), which expects ",
-          rcounts[pu], " element(s)"));
-    }
-    // A zero-element block may come with a null buffer on either side, and
-    // memcpy's pointers must be valid even for zero bytes.
-    if (rcounts[pu] != 0) {
-      const auto* in = static_cast<const char*>(op->send[pu]);
-      std::memcpy(out + rdispls[pu] * elem_size,
-                  in + op->pdispls[pu][r] * elem_size,
-                  rcounts[pu] * elem_size);
-    }
-    recv_end = std::max(recv_end, (rdispls[pu] + rcounts[pu]) * elem_size);
-  }
-  detail::inject_corrupt(*ctx_, rank_, CommOpKind::Alltoallv, recv, recv_end);
   op.leave();
 }
 
@@ -954,14 +845,31 @@ void Comm::recv_bytes(int src, void* data, std::size_t bytes, int tag) {
   post_recv(src, data, bytes, tag).wait();
 }
 
-// --- Nonblocking collectives (waiter-driven progress) ---
+// --- All-to-all exchanges (one engine: post, then waiter-driven progress) ---
 
 namespace {
 
-// The nonblocking exchange engine's health counters: posted/completed pair
-// up in a quiescence check, wait_us is the *blocked* time only (post-to-
-// completion latency hidden behind compute never shows up here -- that is
-// the whole point of the engine).
+// The transpose collectives are the paper's scaling limiter, so the
+// blocking contiguous kinds' volume and whole-op time distributions are
+// always-on metrics (lock-free records; resolved once per process).
+struct AlltoallMetrics {
+  fx::core::Counter& bytes;
+  fx::core::Histogram& wait_us;
+};
+
+AlltoallMetrics& alltoall_metrics(CommOpKind kind) {
+  auto& reg = fx::core::MetricsRegistry::global();
+  static AlltoallMetrics a2a{reg.counter("simmpi.alltoall.bytes"),
+                             reg.histogram("simmpi.alltoall.wait_us")};
+  static AlltoallMetrics a2av{reg.counter("simmpi.alltoallv.bytes"),
+                              reg.histogram("simmpi.alltoallv.wait_us")};
+  return kind == CommOpKind::Alltoall ? a2a : a2av;
+}
+
+// The nonblocking kinds' health counters: posted/completed pair up in a
+// quiescence check, wait_us is the *blocked* time only (post-to-completion
+// latency hidden behind compute never shows up here -- that is the whole
+// point of posting early).
 struct NbMetrics {
   fx::core::Counter& posted;
   fx::core::Counter& completed;
@@ -988,19 +896,21 @@ fx::core::Gauge& wire_ulp_gauge() {
   return g;
 }
 
-/// Copies a logical element stream between two run lists whose total
-/// lengths agree (checked by the caller).  Contiguous stretches on both
-/// sides coalesce into single memcpys, so the fully-contiguous case
-/// degenerates to the blocking collectives' copy.  Elem is a compile-time
-/// constant where it matters: the strided inner loop's memcpy then inlines
+/// The two-cursor run walk of every pairwise transfer: pairs a logical
+/// element stream between two run lists whose total lengths agree
+/// (checked by the caller) and hands each stretch to `move(dp, sp, k)`,
+/// which moves k elements that are contiguous on both sides.  Stretches
+/// contiguous on both sides go in one call, so the fully-contiguous case
+/// is a single move per peer; strided ones go one element (k == 1) at a
+/// time.  Elem is a compile-time constant where it matters: the strided
+/// addressing then scales by a constant, and a memcpy move's size folds
 /// to plain moves (a runtime-size memcpy call per element is what made
 /// early fused exchanges lose to the staged path's typed marshal loops);
 /// Elem == 0 is the generic runtime-size fallback.
-template <std::size_t Elem>
-void copy_runs_impl(const unsigned char* sbase, const SegRun* srun,
-                    std::size_t nsrun, unsigned char* dbase,
-                    const SegRun* drun, std::size_t ndrun,
-                    std::size_t elem_rt) {
+template <std::size_t Elem, typename Move>
+void walk_runs(const unsigned char* sbase, const SegRun* srun,
+               std::size_t nsrun, unsigned char* dbase, const SegRun* drun,
+               std::size_t ndrun, std::size_t elem_rt, Move&& move) {
   const std::size_t elem = Elem != 0 ? Elem : elem_rt;
   std::size_t si = 0;
   std::size_t so = 0;
@@ -1021,11 +931,10 @@ void copy_runs_impl(const unsigned char* sbase, const SegRun* srun,
     const unsigned char* sp = sbase + (s.offset + so * s.stride) * elem;
     unsigned char* dp = dbase + (d.offset + dof * d.stride) * elem;
     if (s.stride == 1 && d.stride == 1) {
-      std::memcpy(dp, sp, k * elem);
+      move(dp, sp, k);
     } else {
       for (std::size_t i = 0; i < k; ++i) {
-        std::memcpy(dp + i * d.stride * elem, sp + i * s.stride * elem,
-                    Elem != 0 ? Elem : elem);
+        move(dp + i * d.stride * elem, sp + i * s.stride * elem, 1);
       }
     }
     so += k;
@@ -1041,30 +950,24 @@ void copy_runs_impl(const unsigned char* sbase, const SegRun* srun,
   }
 }
 
-void copy_runs(const unsigned char* sbase, const SegRun* srun,
-               std::size_t nsrun, unsigned char* dbase, const SegRun* drun,
-               std::size_t ndrun, std::size_t elem) {
-  switch (elem) {
-    case 16:  // complex<double>, the FFT pipeline's element
-      copy_runs_impl<16>(sbase, srun, nsrun, dbase, drun, ndrun, elem);
-      return;
-    case 8:
-      copy_runs_impl<8>(sbase, srun, nsrun, dbase, drun, ndrun, elem);
-      return;
-    case 4:
-      copy_runs_impl<4>(sbase, srun, nsrun, dbase, drun, ndrun, elem);
-      return;
-    default:
-      copy_runs_impl<0>(sbase, srun, nsrun, dbase, drun, ndrun, elem);
-  }
+template <std::size_t Elem>
+void copy_runs_impl(const unsigned char* sbase, const SegRun* srun,
+                    std::size_t nsrun, unsigned char* dbase,
+                    const SegRun* drun, std::size_t ndrun,
+                    std::size_t elem_rt) {
+  walk_runs<Elem>(sbase, srun, nsrun, dbase, drun, ndrun, elem_rt,
+                  [elem_rt](unsigned char* dp, const unsigned char* sp,
+                            std::size_t k) {
+                    std::memcpy(dp, sp, k * (Elem != 0 ? Elem : elem_rt));
+                  });
 }
 
-/// copy_runs for a reduced-precision wire: the same two-pointer run walk,
-/// but every double of the payload passes through the wire format's
-/// quantize->dequantize round trip in flight.  This IS the narrow wire --
-/// shipping encoded bytes and widening on arrival would land bit-identical
-/// values -- fused into the typed copy so no staging buffer reappears.
-/// Returns the largest quantization error seen, in wire-mantissa ulps.
+/// The run walk for a reduced-precision wire: every double of the payload
+/// passes through the wire format's quantize->dequantize round trip in
+/// flight.  This IS the narrow wire -- shipping encoded bytes and widening
+/// on arrival would land bit-identical values -- fused into the typed copy
+/// so no staging buffer reappears.  Returns the largest quantization error
+/// seen, in wire-mantissa ulps.
 template <WireFormat W>
 double convert_runs_impl(const unsigned char* sbase, const SegRun* srun,
                          std::size_t nsrun, unsigned char* dbase,
@@ -1072,64 +975,42 @@ double convert_runs_impl(const unsigned char* sbase, const SegRun* srun,
                          std::size_t elem) {
   const std::size_t nd = elem / sizeof(double);
   double max_err = 0.0;
-  auto move = [&max_err](unsigned char* dp, const unsigned char* sp,
-                         std::size_t doubles) {
-    for (std::size_t w = 0; w < doubles; ++w) {
-      double x;
-      std::memcpy(&x, sp + w * sizeof(double), sizeof(double));
-      const double q = wire_roundtrip(W, x);
-      const double e = wire_ulp_err(W, x, q);
-      if (e > max_err) max_err = e;
-      std::memcpy(dp + w * sizeof(double), &q, sizeof(double));
-    }
-  };
-  std::size_t si = 0;
-  std::size_t so = 0;
-  std::size_t di = 0;
-  std::size_t dof = 0;
-  while (si < nsrun && di < ndrun) {
-    const SegRun& s = srun[si];
-    const SegRun& d = drun[di];
-    if (s.len == 0) {
-      ++si;
-      continue;
-    }
-    if (d.len == 0) {
-      ++di;
-      continue;
-    }
-    const std::size_t k = std::min(s.len - so, d.len - dof);
-    const unsigned char* sp = sbase + (s.offset + so * s.stride) * elem;
-    unsigned char* dp = dbase + (d.offset + dof * d.stride) * elem;
-    if (s.stride == 1 && d.stride == 1) {
-      move(dp, sp, k * nd);
-    } else {
-      for (std::size_t i = 0; i < k; ++i) {
-        move(dp + i * d.stride * elem, sp + i * s.stride * elem, nd);
-      }
-    }
-    so += k;
-    dof += k;
-    if (so == s.len) {
-      ++si;
-      so = 0;
-    }
-    if (dof == d.len) {
-      ++di;
-      dof = 0;
-    }
-  }
+  walk_runs<0>(sbase, srun, nsrun, dbase, drun, ndrun, elem,
+               [nd, &max_err](unsigned char* dp, const unsigned char* sp,
+                              std::size_t k) {
+                 for (std::size_t w = 0; w < k * nd; ++w) {
+                   double x;
+                   std::memcpy(&x, sp + w * sizeof(double), sizeof(double));
+                   const double q = wire_roundtrip(W, x);
+                   const double e = wire_ulp_err(W, x, q);
+                   if (e > max_err) max_err = e;
+                   std::memcpy(dp + w * sizeof(double), &q, sizeof(double));
+                 }
+               });
   return max_err;
 }
 
-/// Dispatches a pairwise transfer to the plain copy (Fp64) or the fused
-/// converting copy; returns the transfer's peak wire quantization error.
+/// Dispatches a pairwise transfer to the plain copy (Fp64, sized at
+/// compile time for the common element sizes) or the fused converting
+/// copy; returns the transfer's peak wire quantization error.
 double move_runs(const unsigned char* sbase, const SegRun* srun,
                  std::size_t nsrun, unsigned char* dbase, const SegRun* drun,
                  std::size_t ndrun, std::size_t elem, WireFormat wire) {
   switch (wire) {
     case WireFormat::Fp64:
-      copy_runs(sbase, srun, nsrun, dbase, drun, ndrun, elem);
+      switch (elem) {
+        case 16:  // complex<double>, the FFT pipeline's element
+          copy_runs_impl<16>(sbase, srun, nsrun, dbase, drun, ndrun, elem);
+          break;
+        case 8:
+          copy_runs_impl<8>(sbase, srun, nsrun, dbase, drun, ndrun, elem);
+          break;
+        case 4:
+          copy_runs_impl<4>(sbase, srun, nsrun, dbase, drun, ndrun, elem);
+          break;
+        default:
+          copy_runs_impl<0>(sbase, srun, nsrun, dbase, drun, ndrun, elem);
+      }
       return 0.0;
     case WireFormat::Fp32:
       return convert_runs_impl<WireFormat::Fp32>(sbase, srun, nsrun, dbase,
@@ -1151,26 +1032,42 @@ std::size_t run_span_elems(const std::vector<SegRun>& runs, std::size_t lo,
 /// One pairwise transfer of a nonblocking exchange: (sender, receiver).
 using Transfer = std::pair<std::size_t, std::size_t>;
 
+/// Diagnostic name of an exchange kind: the blocking contiguous kinds keep
+/// their collective's name; every view or nonblocking post is a
+/// "nonblocking exchange".
+const char* exchange_name(int kind) {
+  switch (static_cast<CommOpKind>(kind)) {
+    case CommOpKind::Alltoall:
+      return "alltoall";
+    case CommOpKind::Alltoallv:
+      return "alltoallv";
+    default:
+      return "nonblocking exchange";
+  }
+}
+
 /// Metadata agreement for transfer p -> q: element sizes, wire formats and
-/// the pairwise stream lengths.  Returns the diagnosis, empty when the two
-/// endpoints agree.
-std::string pair_error(const CommContext& ctx, const OpState& op, int tag,
-                       std::size_t p, std::size_t q) {
+/// the pairwise stream lengths.  Returns the diagnosis, named after the
+/// op's kind; empty when the two endpoints agree.
+std::string pair_error(const CommContext& ctx, const OpState& op,
+                       const OpKey& key, std::size_t p, std::size_t q) {
   const auto pi = static_cast<int>(p);
   const auto qi = static_cast<int>(q);
+  const char* what = exchange_name(key.kind);
+  const int tag = key.tag;
   if (op.scalar[p] != op.scalar[q]) {
-    return core::cat("nonblocking exchange element size mismatch on comm ",
-                     ctx.id, " (tag ", tag, "): rank ", p, " (world ",
+    return core::cat(what, " element size mismatch on comm ", ctx.id,
+                     " (tag ", tag, "): rank ", p, " (world ",
                      detail::wrank(ctx, pi), ") uses ", op.scalar[p],
                      " B, but rank ", q, " (world ", detail::wrank(ctx, qi),
                      ") uses ", op.scalar[q], " B");
   }
   if (op.scalar2[p] != op.scalar2[q]) {
     return core::cat(
-        "nonblocking exchange wire format mismatch on comm ", ctx.id,
-        " (tag ", tag, "): rank ", p, " (world ", detail::wrank(ctx, pi),
-        ") uses ", to_string(static_cast<WireFormat>(op.scalar2[p])),
-        ", but rank ", q, " (world ", detail::wrank(ctx, qi), ") uses ",
+        what, " wire format mismatch on comm ", ctx.id, " (tag ", tag,
+        "): rank ", p, " (world ", detail::wrank(ctx, pi), ") uses ",
+        to_string(static_cast<WireFormat>(op.scalar2[p])), ", but rank ", q,
+        " (world ", detail::wrank(ctx, qi), ") uses ",
         to_string(static_cast<WireFormat>(op.scalar2[q])));
   }
   const auto& ss = op.nb_send[p];
@@ -1180,7 +1077,7 @@ std::string pair_error(const CommContext& ctx, const OpState& op, int tag,
   const std::size_t mine =
       run_span_elems(rs.runs, rs.first[p], rs.first[p + 1]);
   if (theirs != mine) {
-    return core::cat("nonblocking exchange count mismatch on comm ", ctx.id,
+    return core::cat(what, " count mismatch on comm ", ctx.id,
                      " (tag ", tag, "): rank ", p, " (world ",
                      detail::wrank(ctx, pi), ") sends ", theirs,
                      " element(s) of ", op.scalar[p], " B to rank ", q,
@@ -1209,7 +1106,7 @@ std::vector<Transfer> claim_locked(detail::RequestState& st, bool row) {
   auto claim = [&](std::size_t p, std::size_t q) {
     std::uint8_t& s = op.xfer[p * n + q];
     if (s != 0 || !op.nb_posted[p] || !op.nb_posted[q]) return;
-    std::string err = pair_error(ctx, op, st.tag, p, q);
+    std::string err = pair_error(ctx, op, st.key, p, q);
     if (!err.empty()) {
       // This call never runs its jobs: release them, so nobody waits on a
       // claimed transfer that will not happen.
@@ -1270,8 +1167,7 @@ void run_transfers(CommContext& ctx, OpState& op,
   ctx.cv.notify_all();
 }
 
-/// Drives a nonblocking collective toward completion from the caller's
-/// thread.  It
+/// Drives a posted exchange toward completion from the caller's thread.  It
 ///   1. copies this rank's column: every pending transfer into it whose
 ///      sender has posted (claim_locked, run_transfers).  A blocking wait
 ///      whose column is complete also copies its own pending row, so
@@ -1284,7 +1180,10 @@ void run_transfers(CommContext& ctx, OpState& op,
 ///      spread across compute;
 ///   2. finalizes once per request: fault injection over the completed
 ///      receive stream, then completion accounting, with the last
-///      finalizer retiring the matching-table entry.
+///      finalizer retiring the matching-table entry.  The blocking
+///      contiguous kinds record simmpi.alltoall{,v}.* over the whole op,
+///      post to completion; the nonblocking kinds record
+///      simmpi.ialltoallv.* with the blocked time only.
 /// Blocking mode waits watchdog-registered; test mode copies its column
 /// and returns false instead of blocking.  Unwinds with the poison error
 /// when the communicator dies or is revoked mid-flight, and with the
@@ -1363,10 +1262,16 @@ bool complete_nb(detail::RequestState& st, bool blocking) {
   lock.unlock();
 
   const double t_end = fx::core::WallTimer::now();
-  NbMetrics& m = nb_metrics();
-  m.completed.add();
-  m.bytes.add(st.bytes);
-  m.wait_us.record((t_end - t_wait) * 1e6);
+  if (detail::is_nonblocking_kind(st.key.kind)) {
+    NbMetrics& m = nb_metrics();
+    m.completed.add();
+    m.bytes.add(st.bytes);
+    m.wait_us.record((t_end - t_wait) * 1e6);
+  } else {
+    AlltoallMetrics& m = alltoall_metrics(st.kind);
+    m.bytes.add(st.bytes);
+    m.wait_us.record((t_end - st.t_post) * 1e6);
+  }
   if (st.rank_state) {
     if (auto obs = st.rank_state->get_observer()) {
       obs(CommEvent{st.kind, ctx.id, ctx.size, st.tag, st.bytes, st.t_post,
@@ -1386,13 +1291,15 @@ Request Comm::post_nb_exchange(CommOpKind kind, const void* send_base,
                                std::size_t elem_size, int tag,
                                WireFormat wire) {
   const auto n = static_cast<std::size_t>(size());
-  FX_CHECK(send_base != recv_base,
-           "nonblocking exchange buffers must not alias");
+  FX_CHECK(send_base != recv_base, "exchange buffers must not alias");
   FX_CHECK(sviews.size() == n && rviews.size() == n,
            "exchange views need one entry per peer");
   FX_CHECK(elem_size > 0, "exchange element size must be positive");
   FX_CHECK(wire == WireFormat::Fp64 || elem_size % sizeof(double) == 0,
            "reduced wire precision needs double-typed elements");
+  // The CommEvent window opens before the fault hook, as every blocking
+  // collective's does: an injected stall is exchange time on every path.
+  const double t_post = fx::core::WallTimer::now();
   detail::inject(*ctx_, rank_, kind);
   const OpKey key{static_cast<int>(kind), tag,
                   rank_state_->next_seq(static_cast<int>(kind), tag)};
@@ -1407,7 +1314,7 @@ Request Comm::post_nb_exchange(CommOpKind kind, const void* send_base,
   state->recv_base = recv_base;
   state->elem_size = elem_size;
   state->rank_state = rank_state_;
-  state->t_post = fx::core::WallTimer::now();
+  state->t_post = t_post;
   state->rfirst.resize(n + 1, 0);
   std::size_t sent_elems = 0;
   for (std::size_t p = 0; p < n; ++p) {
@@ -1467,24 +1374,72 @@ Request Comm::post_nb_exchange(CommOpKind kind, const void* send_base,
   ctx_->cv.notify_all();
   run_transfers(*ctx_, op, jobs);
   rank_state_->bytes_sent.fetch_add(state->bytes, std::memory_order_relaxed);
-  nb_metrics().posted.add();
+  if (detail::is_nonblocking_kind(key.kind)) nb_metrics().posted.add();
   return Request{std::move(state)};
+}
+
+namespace {
+
+/// Single-run views of one side of a contiguous all-to-all, one view per
+/// peer: the four contiguous entry points post these through the view
+/// engine.  Zero-count blocks are legal (the run walk never touches an
+/// empty run's address).  The views point into runs_, so the object is
+/// neither copied nor moved.
+class BlockViews {
+ public:
+  /// Peer p's block: counts[p] elements at element offset displs[p].
+  BlockViews(std::size_t n, const std::size_t* counts,
+             const std::size_t* displs)
+      : runs_(n), views_(n) {
+    for (std::size_t p = 0; p < n; ++p) {
+      runs_[p] = SegRun{displs[p], counts[p], 1};
+      views_[p] = SegView(&runs_[p], 1);
+    }
+  }
+  /// Uniform blocks: `len` elements per peer, peer p's at offset p * len.
+  BlockViews(std::size_t n, std::size_t len) : runs_(n), views_(n) {
+    for (std::size_t p = 0; p < n; ++p) {
+      runs_[p] = SegRun{p * len, len, 1};
+      views_[p] = SegView(&runs_[p], 1);
+    }
+  }
+  BlockViews(const BlockViews&) = delete;
+  BlockViews& operator=(const BlockViews&) = delete;
+
+  operator std::span<const SegView>() const { return views_; }
+
+ private:
+  std::vector<SegRun> runs_;
+  std::vector<SegView> views_;
+};
+
+}  // namespace
+
+void Comm::alltoall_bytes(const void* send, void* recv,
+                          std::size_t bytes_per_rank, int tag) {
+  const BlockViews blocks(static_cast<std::size_t>(size()), bytes_per_rank);
+  post_nb_exchange(CommOpKind::Alltoall, send, blocks, recv, blocks,
+                   /*elem_size=*/1, tag, WireFormat::Fp64)
+      .wait();
+}
+
+void Comm::alltoallv_bytes(const void* send, const std::size_t* scounts,
+                           const std::size_t* sdispls, void* recv,
+                           const std::size_t* rcounts,
+                           const std::size_t* rdispls, std::size_t elem_size,
+                           int tag) {
+  const auto n = static_cast<std::size_t>(size());
+  const BlockViews sblocks(n, scounts, sdispls);
+  const BlockViews rblocks(n, rcounts, rdispls);
+  post_nb_exchange(CommOpKind::Alltoallv, send, sblocks, recv, rblocks,
+                   elem_size, tag, WireFormat::Fp64)
+      .wait();
 }
 
 Request Comm::ialltoall_bytes(const void* send, void* recv,
                               std::size_t bytes_per_rank, int tag) {
-  const auto n = static_cast<std::size_t>(size());
-  std::vector<SegRun> sruns(n);
-  std::vector<SegRun> rruns(n);
-  std::vector<SegView> sviews(n);
-  std::vector<SegView> rviews(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    sruns[p] = SegRun{p * bytes_per_rank, bytes_per_rank, 1};
-    rruns[p] = SegRun{p * bytes_per_rank, bytes_per_rank, 1};
-    sviews[p] = SegView(&sruns[p], 1);
-    rviews[p] = SegView(&rruns[p], 1);
-  }
-  return post_nb_exchange(CommOpKind::Ialltoall, send, sviews, recv, rviews,
+  const BlockViews blocks(static_cast<std::size_t>(size()), bytes_per_rank);
+  return post_nb_exchange(CommOpKind::Ialltoall, send, blocks, recv, blocks,
                           /*elem_size=*/1, tag, WireFormat::Fp64);
 }
 
@@ -1494,18 +1449,10 @@ Request Comm::ialltoallv_bytes(const void* send, const std::size_t* scounts,
                                const std::size_t* rdispls,
                                std::size_t elem_size, int tag) {
   const auto n = static_cast<std::size_t>(size());
-  std::vector<SegRun> sruns(n);
-  std::vector<SegRun> rruns(n);
-  std::vector<SegView> sviews(n);
-  std::vector<SegView> rviews(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    sruns[p] = SegRun{sdispls[p], scounts[p], 1};
-    rruns[p] = SegRun{rdispls[p], rcounts[p], 1};
-    sviews[p] = SegView(&sruns[p], 1);
-    rviews[p] = SegView(&rruns[p], 1);
-  }
-  return post_nb_exchange(CommOpKind::Ialltoallv, send, sviews, recv, rviews,
-                          elem_size, tag, WireFormat::Fp64);
+  const BlockViews sblocks(n, scounts, sdispls);
+  const BlockViews rblocks(n, rcounts, rdispls);
+  return post_nb_exchange(CommOpKind::Ialltoallv, send, sblocks, recv,
+                          rblocks, elem_size, tag, WireFormat::Fp64);
 }
 
 Request Comm::ialltoallv_view(const void* send_base,

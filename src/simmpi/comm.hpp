@@ -161,25 +161,38 @@ class Comm {
   void reduce(const T* send, T* recv, std::size_t count, ReduceOp op,
               int root, int tag = 0);
 
+  // --- All-to-all exchanges ---
+  //
+  // Every all-to-all below, blocking or not, runs on one engine: a post
+  // that registers this rank's buffers as per-peer run views, then
+  // waiter-driven progress (see "Nonblocking collectives").  A blocking
+  // call is that post plus wait(); it keeps its own CommOpKind, so fault
+  // plans, op counting, traces and the matching validator tell the kinds
+  // apart.  A pair whose element sizes, wire formats or counts disagree
+  // fails the exchange on every participant with the same CommError,
+  // named after the kind ("alltoallv count mismatch ...").
+
   /// Personalized exchange: rank r sends bytes_per_rank bytes starting at
-  /// send + p*bytes_per_rank to each peer p, receiving likewise.
+  /// send + p*bytes_per_rank to each peer p, receiving likewise.  Kind
+  /// Alltoall; records simmpi.alltoall.{bytes,wait_us} over the whole op.
   void alltoall_bytes(const void* send, void* recv, std::size_t bytes_per_rank,
                       int tag = 0);
 
   /// Variable-size personalized exchange (element-typed offsets/counts).
   /// scounts[p]/sdispls[p]: elements sent to p from send + sdispls[p]*elem.
   /// rcounts[p]/rdispls[p]: elements received from p.  Each pair's counts
-  /// must agree (checked).
+  /// must agree (checked); zero-count blocks are legal.  Kind Alltoallv;
+  /// records simmpi.alltoallv.{bytes,wait_us} over the whole op.
   void alltoallv_bytes(const void* send, const std::size_t* scounts,
                        const std::size_t* sdispls, void* recv,
                        const std::size_t* rcounts, const std::size_t* rdispls,
                        std::size_t elem_size, int tag = 0);
 
-  /// Strided scatter-gather exchange: sends the elements of svuews[p]
+  /// Strided scatter-gather exchange: sends the elements of sviews[p]
   /// (relative to `send_base`) to peer p and receives peer q's payload into
   /// rviews[q] (relative to `recv_base`), both traversed in run order.
   /// Element streams must agree pairwise in length (checked).  Blocking;
-  /// equivalent to ialltoallv_view(...).wait().
+  /// equivalent to ialltoallv_view(...).wait(), kind Ialltoallv.
   ///
   /// A non-Fp64 `wire` format narrows every double of the payload to the
   /// wire precision in flight (elem_size must then be a whole number of
@@ -195,18 +208,19 @@ class Comm {
   //
   // Posting registers this rank's buffers, pulls whatever receive payload
   // already-posted peers can supply, and returns; there is no global
-  // rendezvous.  Progress runs in the caller: each rank pulls its own
-  // receive payload directly from the peers' send buffers (peer-direct
-  // copies, no barrier) at its post and at every test() and wait().  A
-  // rank blocked in wait() whose receives have all landed also pushes its
-  // own sends that a peer has not pulled yet, so a wait never depends on a
-  // peer polling.  A request completes once its own row and column are
-  // done: every peer has pulled this rank's sends and every receive has
-  // landed.  Send buffers must therefore stay valid until the local wait()
-  // returns -- the same guarantee the blocking collectives give.  Matching
-  // follows the blocking rules: (kind, tag, per-rank sequence); several
-  // nonblocking exchanges may be in flight on one tag as long as all ranks
-  // post them in the same order.
+  // rendezvous.  The CommEvent window opens at post entry, before the
+  // fault hook, and closes at completion.  Progress runs in the caller:
+  // each rank pulls its own receive payload directly from the peers' send
+  // buffers (peer-direct copies, no barrier) at its post and at every
+  // test() and wait().  A rank blocked in wait() whose receives have all
+  // landed also pushes its own sends that a peer has not pulled yet, so a
+  // wait never depends on a peer polling.  A request completes once its
+  // own row and column are done: every peer has pulled this rank's sends
+  // and every receive has landed.  Send buffers must therefore stay valid
+  // until the local wait() returns -- the same guarantee the blocking
+  // collectives give.  Matching follows the blocking rules: (kind, tag,
+  // per-rank sequence); several nonblocking exchanges may be in flight on
+  // one tag as long as all ranks post them in the same order.
 
   /// Nonblocking alltoall_bytes.  Buffers (send, recv) must stay valid and
   /// unmodified until the returned request completes.

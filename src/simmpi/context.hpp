@@ -41,8 +41,6 @@ struct OpState {
   explicit OpState(int size)
       : send(static_cast<std::size_t>(size), nullptr),
         recv(static_cast<std::size_t>(size), nullptr),
-        pcounts(static_cast<std::size_t>(size), nullptr),
-        pdispls(static_cast<std::size_t>(size), nullptr),
         scalar(static_cast<std::size_t>(size), 0),
         scalar2(static_cast<std::size_t>(size), 0),
         child_ctx(static_cast<std::size_t>(size)),
@@ -55,10 +53,8 @@ struct OpState {
 
   std::vector<const void*> send;
   std::vector<void*> recv;
-  std::vector<const std::size_t*> pcounts;  // alltoallv send counts
-  std::vector<const std::size_t*> pdispls;  // alltoallv send displs
-  std::vector<std::size_t> scalar;          // per-rank scalar (bytes/color)
-  std::vector<std::size_t> scalar2;         // second scalar (key)
+  std::vector<std::size_t> scalar;   // per-rank scalar (bytes/color/elem)
+  std::vector<std::size_t> scalar2;  // second scalar (key/wire format)
 
   // Reduction:
   std::vector<char> acc;
@@ -70,7 +66,8 @@ struct OpState {
   std::vector<std::shared_ptr<class CommContext>> child_ctx;
   std::vector<int> child_rank;
 
-  // Nonblocking exchange (Ialltoall/Ialltoallv): per-rank send AND recv
+  // All-to-all exchange (every kind: Alltoall/Alltoallv post and wait at
+  // once, Ialltoall/Ialltoallv return the request): per-rank send AND recv
   // views, copied at post time so the engine can move payload long after
   // the posting frame returned.  The receiver copies: rank q claims each
   // transfer p->q into its own column once p has posted, at q's post and
@@ -109,7 +106,7 @@ struct P2pKey {
 /// owning communicator's mutex/condvar.  src/tag/comm_rank identify the
 /// operation for watchdog diagnostics.
 ///
-/// For nonblocking collectives (op != nullptr) the state additionally
+/// For all-to-all exchanges (op != nullptr) the state additionally
 /// carries this rank's receive-side view (copied at post time, also
 /// registered in the OpState, from which whichever endpoint claims a
 /// transfer reads both sides) and the finalization flag `pulled`
@@ -118,7 +115,7 @@ struct P2pKey {
 /// is no ownership cycle.
 struct RequestState {
   RequestState() = default;
-  /// Withdraws an abandoned nonblocking collective (see comm.cpp).
+  /// Withdraws an abandoned all-to-all exchange (see comm.cpp).
   ~RequestState();
   RequestState(const RequestState&) = delete;
   RequestState& operator=(const RequestState&) = delete;
@@ -129,7 +126,7 @@ struct RequestState {
   int comm_rank = -1;  ///< the posting (receiving) rank
   int tag = 0;
 
-  // --- Nonblocking collective fields (unused for point-to-point) ---
+  // --- All-to-all exchange fields (unused for point-to-point) ---
   std::shared_ptr<OpState> op;
   OpKey key{};
   CommOpKind kind = CommOpKind::Recv;
@@ -138,7 +135,7 @@ struct RequestState {
   std::vector<SegRun> rruns;        ///< recv runs, concatenated per peer
   std::vector<std::size_t> rfirst;  ///< size n+1
   bool pulled = false;  ///< finalization (injection + accounting) ran
-  double t_post = 0.0;              ///< post wall time (event/metrics)
+  double t_post = 0.0;  ///< post entry, before the fault hook (event/metrics)
   std::size_t bytes = 0;            ///< payload bytes this rank sends
   std::shared_ptr<struct RankState> rank_state;  ///< event emission at wait
 };

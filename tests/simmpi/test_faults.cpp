@@ -316,25 +316,33 @@ TEST(Poisoning, IrecvTestThrowsWhenPeerDies) {
 }
 
 TEST(Mismatch, AlltoallvCountMismatchNamesBothSides) {
-  try {
-    Runtime::run(2, quiet_options(), [&](Comm& comm) {
-      // Rank 1 under-declares what it receives from rank 0.
-      const std::size_t scounts[2] = {2, 2};
-      const std::size_t sdispls[2] = {0, 2};
-      const std::size_t rcounts[2] = {2, comm.rank() == 1 ? 1UL : 2UL};
-      const std::size_t rdispls[2] = {0, 2};
-      const double send[4] = {1, 2, 3, 4};
-      double recv[4] = {};
+  // The pair check poisons the exchange, so every rank unwinds with the
+  // same diagnosis -- the sender too, not only the rank whose receive
+  // count disagrees.
+  std::vector<std::string> whats(2);
+  Runtime::run(2, quiet_options(), [&](Comm& comm) {
+    // Rank 1 under-declares what it receives from rank 0.
+    const std::size_t scounts[2] = {2, 2};
+    const std::size_t sdispls[2] = {0, 2};
+    const std::size_t rcounts[2] = {2, comm.rank() == 1 ? 1UL : 2UL};
+    const std::size_t rdispls[2] = {0, 2};
+    const double send[4] = {1, 2, 3, 4};
+    double recv[4] = {};
+    try {
       comm.alltoallv(send, scounts, sdispls, recv, rcounts, rdispls,
                      /*tag=*/0);
-    });
-    FAIL() << "expected CommError";
-  } catch (const CommError& e) {
-    const std::string what = e.what();
+    } catch (const CommError& e) {
+      whats[static_cast<std::size_t>(comm.rank())] = e.what();
+    }
+  });
+  for (std::size_t r = 0; r < whats.size(); ++r) {
+    const std::string& what = whats[r];
     EXPECT_NE(what.find("alltoallv count mismatch"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("sends 2 element(s)"), std::string::npos) << what;
-    EXPECT_NE(what.find("expects 1 element(s)"), std::string::npos) << what;
+        << "rank " << r << ": " << what;
+    EXPECT_NE(what.find("sends 2 element(s)"), std::string::npos)
+        << "rank " << r << ": " << what;
+    EXPECT_NE(what.find("expects 1 element(s)"), std::string::npos)
+        << "rank " << r << ": " << what;
   }
 }
 

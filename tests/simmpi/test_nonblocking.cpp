@@ -28,6 +28,7 @@ using fx::core::CommError;
 using fx::core::DeadlockError;
 using fx::core::FaultError;
 using fx::mpi::Comm;
+using fx::mpi::CommEvent;
 using fx::mpi::CommOpKind;
 using fx::mpi::Request;
 using fx::mpi::RunOptions;
@@ -462,6 +463,49 @@ TEST(NonblockingFaults, StallMidExchangeStillCompletes) {
   });
   EXPECT_GE(timer.seconds(), 0.045);
 }
+
+/// Every all-to-all opens its CommEvent window before the fault hook, so
+/// an injected stall is exchange time whether the exchange blocks
+/// (Alltoallv) or is posted and waited (Ialltoallv).
+class ExchangeWindow : public ::testing::TestWithParam<CommOpKind> {};
+
+TEST_P(ExchangeWindow, StallLandsInsideTheEvent) {
+  const CommOpKind kind = GetParam();
+  RunOptions opts = quiet_options();
+  opts.faults.stall_rank = 0;
+  opts.faults.stall_op = 0;
+  opts.faults.stall_ms = 50.0;
+  opts.faults.only_kind = static_cast<int>(kind);
+  double span_s = -1.0;  // written by rank 0's thread, read after the join
+  Runtime::run(2, opts, [&](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.set_observer([&](const CommEvent& e) {
+        if (e.kind == kind) span_s = e.t_end - e.t_begin;
+      });
+    }
+    VBufs b = make_vbufs(comm.rank(), comm.size());
+    if (kind == CommOpKind::Alltoallv) {
+      comm.alltoallv_bytes(b.send.data(), b.scounts.data(), b.sdispls.data(),
+                           b.recv.data(), b.rcounts.data(), b.rdispls.data(),
+                           sizeof(double));
+    } else {
+      comm.ialltoallv_bytes(b.send.data(), b.scounts.data(),
+                            b.sdispls.data(), b.recv.data(),
+                            b.rcounts.data(), b.rdispls.data(),
+                            sizeof(double))
+          .wait();
+    }
+    expect_vrecv(b, comm.rank(), comm.size());
+  });
+  EXPECT_GE(span_s, 0.050);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, ExchangeWindow,
+                         ::testing::Values(CommOpKind::Alltoallv,
+                                           CommOpKind::Ialltoallv),
+                         [](const auto& info) {
+                           return std::string(fx::mpi::to_string(info.param));
+                         });
 
 TEST(NonblockingFaults, CorruptMidFlightFlipsExactlyOneBit) {
   RunOptions opts = quiet_options();
