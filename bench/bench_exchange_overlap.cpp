@@ -1,13 +1,12 @@
-// Exchange engine A/B/C: staged blocking Alltoallv vs fused zero-copy view
-// exchange vs fused + nonblocking chunked overlap, on the real backend.
+// Exchange engine A/B: staged blocking Alltoallv vs fused zero-copy view
+// exchange on the real backend, then the streaming executor's depth sweep
+// (its split exchanges are the band loop's only nonblocking ones).
 //
-// The fused variant's claim is structural -- the staging counter must drop
-// to zero because no pack/stage buffer is touched -- and the overlap
-// variant's claim is temporal: the time ranks spend blocked inside exchange
-// waits (simmpi.{alltoallv,ialltoallv}.wait_us) shrinks because each Z-FFT
-// chunk computes while the previous chunk's scatter is in flight.  Both are
-// measured from metrics deltas around otherwise identical runs, so the
-// numbers isolate the exchange engine from everything else.
+// The fused variant's claim is structural: the staging counter must drop
+// to zero because no pack/stage buffer is touched.  Exchange wait
+// (simmpi.{alltoallv,ialltoallv}.wait_us) and staging time are measured
+// from metrics deltas around otherwise identical runs, so the numbers
+// isolate the exchange engine from everything else.
 //
 // "Exchange cost" below is blocked-wait time PLUS staged marshal/unmarshal
 // time (fftx.exchange.staging_us): the staging copies exist only to feed
@@ -27,20 +26,11 @@ namespace {
 struct Variant {
   const char* name;
   bool fused;
-  bool overlap;
-  int chunks;  // 0 = pipeline default (adaptive)
 };
 
-// fused-nonblocking runs the adaptive chunk default (1 on a serial host:
-// the exchange is still posted eagerly and copied zero-copy, without
-// paying per-chunk post/wait overhead that a single hardware thread can
-// never hide).  fused-overlap-4 forces 4 chunks to exercise -- and price
-// -- the chunked compute/exchange interleave itself.
 constexpr Variant kVariants[] = {
-    {"staged-blocking", false, false, 0},
-    {"fused-blocking", true, false, 0},
-    {"fused-nonblocking", true, true, 0},
-    {"fused-overlap-4", true, true, 4},
+    {"staged-blocking", false},
+    {"fused-blocking", true},
 };
 
 struct Measured {
@@ -49,8 +39,7 @@ struct Measured {
   double staging_s = 0.0;     // summed staged marshal/unmarshal seconds
   double staging_mb = 0.0;    // marshalling traffic through staging buffers
   double bytes_mb = 0.0;      // payload bytes actually exchanged (wire size)
-  double hidden_ms = 0.0;     // post-to-wait gap the overlap engine hid
-  std::uint64_t posted = 0;   // nonblocking exchanges posted
+  std::uint64_t posted = 0;   // view exchanges posted (Ialltoallv kind)
 
   double cost_s() const { return wait_s + staging_s; }
 };
@@ -62,7 +51,6 @@ struct Samples {
   std::vector<double> stagings;
   double staging_bytes = 0.0;
   double exchanged_bytes = 0.0;
-  double hidden_sum = 0.0;
   std::uint64_t posted = 0;
 };
 
@@ -74,7 +62,6 @@ void run_once(const std::shared_ptr<const fx::fftx::Descriptor>& desc,
   auto& wait_nb = reg.histogram("simmpi.ialltoallv.wait_us");
   auto& staging = reg.counter("fftx.exchange.staging_bytes");
   auto& staging_us = reg.histogram("fftx.exchange.staging_us");
-  auto& hidden = reg.histogram("fftx.exchange.overlap_hidden_ms");
   auto& posted = reg.counter("simmpi.ialltoallv.posted");
   auto& bytes_bl = reg.counter("simmpi.alltoallv.bytes");
   auto& bytes_nb = reg.counter("simmpi.ialltoallv.bytes");
@@ -84,7 +71,6 @@ void run_once(const std::shared_ptr<const fx::fftx::Descriptor>& desc,
   const double staging0 = static_cast<double>(staging.value());
   const double bytes0 =
       static_cast<double>(bytes_bl.value() + bytes_nb.value());
-  const double hidden0 = hidden.sum();
   const std::uint64_t posted0 = posted.value();
 
   double t = 0.0;
@@ -95,8 +81,6 @@ void run_once(const std::shared_ptr<const fx::fftx::Descriptor>& desc,
     cfg.nthreads = 1;
     cfg.guard_exchanges = false;
     cfg.fused_exchange = v.fused;
-    cfg.overlap_exchange = v.overlap;
-    if (v.chunks > 0) cfg.overlap_chunks = v.chunks;
     fx::fftx::BandFftPipeline pipe(world, desc, cfg);
     pipe.initialize_bands();
     const double dt = pipe.run();
@@ -108,7 +92,6 @@ void run_once(const std::shared_ptr<const fx::fftx::Descriptor>& desc,
   out.staging_bytes += static_cast<double>(staging.value()) - staging0;
   out.exchanged_bytes +=
       static_cast<double>(bytes_bl.value() + bytes_nb.value()) - bytes0;
-  out.hidden_sum += hidden.sum() - hidden0;
   out.posted += posted.value() - posted0;
 }
 
@@ -119,7 +102,6 @@ Measured summarize(const Samples& s, int reps) {
   m.staging_s = fx::core::median(s.stagings);
   m.staging_mb = s.staging_bytes / 1e6 / reps;
   m.bytes_mb = s.exchanged_bytes / 1e6 / reps;
-  m.hidden_ms = s.hidden_sum / reps;
   m.posted = s.posted / static_cast<std::uint64_t>(reps);
   return m;
 }
@@ -149,9 +131,7 @@ void run_stream_once(const std::shared_ptr<const fx::fftx::Descriptor>& desc,
     cfg.mode = fx::fftx::PipelineMode::Streaming;
     cfg.nthreads = 3;
     cfg.stream_bands = depth;
-    cfg.stream_nonblocking = true;
     cfg.fused_exchange = true;
-    cfg.overlap_exchange = false;
     cfg.guard_exchanges = false;
     fx::fftx::BandFftPipeline pipe(world, desc, cfg);
     pipe.initialize_bands();
@@ -174,12 +154,11 @@ int main() {
   fx::core::TablePrinter t(
       "Exchange engine (real backend, medians over 21 order-rotated paired reps)");
   t.header({"config", "variant", "wall [s]", "wait [s]", "staging [s]",
-            "cost [s]", "staging [MB]", "wire [MB]", "hidden [ms]",
-            "cost vs staged"});
+            "cost [s]", "staging [MB]", "wire [MB]", "cost vs staged"});
   fx::core::CsvWriter csv("bench/out/exchange_overlap.csv");
   csv.row({"nranks", "ntg", "ecut", "variant", "wall_s", "exchange_wait_s",
            "staging_s", "exchange_cost_s", "staging_mb", "bytes_exchanged_mb",
-           "hidden_ms", "posted", "cost_reduction_pct"});
+           "posted", "cost_reduction_pct"});
   // Structural claims only: the fused engine must move zero bytes through
   // staging buffers regardless of host speed, so perf_regress can gate it
   // tightly; the wall/wait seconds stay in the CSV (host-dependent).
@@ -217,7 +196,7 @@ int main() {
     for (int vi = 0; vi < kNumVariants; ++vi) {
       const Variant& v = kVariants[vi];
       const Measured m = summarize(samples[vi], kReps);
-      if (!v.fused && !v.overlap) staged_cost = m.cost_s();
+      if (!v.fused) staged_cost = m.cost_s();
       const double reduction =
           staged_cost > 0.0
               ? (staged_cost - m.cost_s()) / staged_cost * 100.0
@@ -229,14 +208,12 @@ int main() {
              fx::core::fixed(m.cost_s(), 4),
              fx::core::fixed(m.staging_mb, 2),
              fx::core::fixed(m.bytes_mb, 2),
-             fx::core::fixed(m.hidden_ms, 1),
              fx::core::cat(fx::core::fixed(reduction, 1), " %")});
       csv.row({fx::core::cat(c.nranks), fx::core::cat(c.ntg),
                fx::core::cat(c.ecut), v.name, fx::core::cat(m.wall_s),
                fx::core::cat(m.wait_s), fx::core::cat(m.staging_s),
                fx::core::cat(m.cost_s()), fx::core::cat(m.staging_mb),
-               fx::core::cat(m.bytes_mb), fx::core::cat(m.hidden_ms),
-               fx::core::cat(m.posted),
+               fx::core::cat(m.bytes_mb), fx::core::cat(m.posted),
                fx::core::cat(fx::core::fixed(reduction, 1))});
       report.set(fx::core::cat("exchange.staging_mb.", v.name, ".",
                                c.nranks, "r_ecut",

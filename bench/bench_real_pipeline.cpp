@@ -22,7 +22,7 @@ namespace {
 double run_real(int nranks, int ntg, fx::fftx::PipelineMode mode, int threads,
                 const fx::mpi::RunOptions& opts = fx::mpi::RunOptions{},
                 fx::trace::Tracer* tracer = nullptr, double ecut = 16.0,
-                int num_bands = 16, bool fused = false, bool overlap = false) {
+                int num_bands = 16, bool fused = false) {
   auto desc = std::make_shared<const fx::fftx::Descriptor>(fx::pw::Cell{10.0},
                                                            ecut, nranks, ntg);
   double runtime = 0.0;
@@ -32,7 +32,6 @@ double run_real(int nranks, int ntg, fx::fftx::PipelineMode mode, int threads,
     cfg.mode = mode;
     cfg.nthreads = threads;
     cfg.fused_exchange = fused;
-    cfg.overlap_exchange = overlap;
     cfg.guard_exchanges = false;  // the A/B below measures validator+watchdog
     fx::fftx::BandFftPipeline pipe(world, desc, cfg, tracer);
     pipe.initialize_bands();
@@ -516,13 +515,10 @@ int main() {
     PipelineMode mode;
     int threads;
     bool fused = false;
-    bool overlap = false;
   };
   const Row rows[] = {
       {"original 4 x 2", 8, 2, PipelineMode::Original, 1},
       {"original 4 x 2, fused", 8, 2, PipelineMode::Original, 1, true},
-      {"original 4 x 2, fused+overlap", 8, 2, PipelineMode::Original, 1, true,
-       true},
       {"original 4 x 1", 4, 1, PipelineMode::Original, 1},
       {"task-per-step 4 ranks x 2 thr", 4, 1, PipelineMode::TaskPerStep, 2},
       {"task-per-FFT 4 ranks x 2 thr", 4, 1, PipelineMode::TaskPerFft, 2},
@@ -534,16 +530,14 @@ int main() {
     for (int rep = 0; rep < 3; ++rep) {
       times.push_back(run_real(row.nranks, row.ntg, row.mode, row.threads,
                                fx::mpi::RunOptions{}, nullptr, 16.0, 16,
-                               row.fused, row.overlap));
+                               row.fused));
     }
     const double med = fx::core::median(times);
     t.row({row.name,
            fx::core::cat(row.nranks, " ranks, ntg ", row.ntg, ", ",
                          row.threads, " thr"),
            fx::core::fixed(med, 4)});
-    csv.row({fx::core::cat(to_string(row.mode),
-                           row.overlap ? "+overlap" : (row.fused ? "+fused"
-                                                                 : "")),
+    csv.row({fx::core::cat(to_string(row.mode), row.fused ? "+fused" : ""),
              fx::core::cat(row.nranks), fx::core::cat(med)});
   }
   t.print(std::cout);

@@ -71,7 +71,6 @@ int main() {
   cfg.breaker_strikes = 0;  // measure shedding, not quarantine
   cfg.idle_poll_ms = 1.0;
   cfg.pipeline.fused_exchange = false;
-  cfg.pipeline.overlap_exchange = false;
   cfg.recovery.checkpoint_bands = 2;
   cfg.recovery.retry.base_delay_ms = 0.1;
 

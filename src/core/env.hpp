@@ -3,7 +3,7 @@
 // PR 7 introduced strict parsing for the FFTX_FAULT_* family (garbage or
 // out-of-range values throw a named core::Error instead of silently running
 // with a clamped default); this generalizes that pattern so every FFTX_*
-// knob in the stack -- overlap chunks, observatory ring, watchdog window,
+// knob in the stack -- stream depth, observatory ring, watchdog window,
 // checkpoint cadence, retry schedule, service frontend -- fails loudly and
 // uniformly.  Each helper returns true and writes `out` only when the
 // variable is set and valid; an unset/empty variable keeps the caller's

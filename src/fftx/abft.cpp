@@ -113,19 +113,6 @@ void AbftGuard::flag(Scratch& s, core::Counter& detector,
       core::cat("abft: ", what, " on band ", band_of(s.iter)));
 }
 
-void AbftGuard::z_reset(Scratch& s) const {
-  s.zcap.assign(desc_->dims().nz, cplx{0.0, 0.0});
-  s.zref.resize(desc_->dims().nz);
-  s.z_e_pre = 0.0;
-}
-
-void AbftGuard::z_accumulate(Scratch& s, const cplx* pencil, std::size_t lo,
-                             std::size_t hi) const {
-  const std::size_t nz = desc_->dims().nz;
-  s.z_e_pre += fft::checksum_accumulate(s.zcap.data(), pencil + lo * nz, nz,
-                                        lo, hi, nz);
-}
-
 void AbftGuard::check_sealed(Scratch& s, std::uint64_t dig, bool pencil) {
   bool& sealed = pencil ? s.pencil_sealed : s.planes_sealed;
   if (!sealed) return;
@@ -140,8 +127,9 @@ void AbftGuard::check_sealed(Scratch& s, std::uint64_t dig, bool pencil) {
 }
 
 void AbftGuard::z_begin(Scratch& s, const cplx* pencil, std::size_t nst) {
-  z_reset(s);
   const std::size_t nz = desc_->dims().nz;
+  s.zcap.assign(nz, cplx{0.0, 0.0});
+  s.zref.resize(nz);
   std::uint64_t dig = 0;
   s.z_e_pre =
       fft::checksum_accumulate_digest(s.zcap.data(), pencil, 0, nst, nz, &dig);
@@ -159,7 +147,7 @@ void AbftGuard::z_verify(Scratch& s, const cplx* pencil, std::size_t nst,
                     fft::thread_workspace());
 
   // The backward exchange's received energy is the accumulated pre-FFT
-  // pencil energy; settling it here (all chunks have landed) costs nothing.
+  // pencil energy; settling it here costs nothing.
   if (s.recv_pending[1]) {
     s.recv_pending[1] = false;
     s.ex[1][1] += s.z_e_pre;

@@ -137,16 +137,10 @@ class AbftGuard {
   void finish_iteration(const Scratch& s);
 
   // -- checksum band + Parseval across the batched Z-FFT --
-  /// Starts a fresh Z checksum accumulation.
-  void z_reset(Scratch& s) const;
-  /// Accumulates sticks [lo, hi) of `pencil` (global stick indices; the
-  /// overlapped backward leg accumulates chunk by chunk as chunks land).
-  void z_accumulate(Scratch& s, const fft::cplx* pencil, std::size_t lo,
-                    std::size_t hi) const;
-  /// Fused stage entry for the unchunked Z stages: check_pencil + z_reset +
-  /// a full z_accumulate in ONE streaming pass (the accumulate's digest of
-  /// the touched region is bit-identical to the seal's, so the at-rest
-  /// check costs no extra read of the pencil).
+  /// Stage entry: starts a fresh Z checksum band and accumulates all `nst`
+  /// sticks of `pencil` into it, checking the pencil's at-rest seal in the
+  /// same streaming pass (the accumulation's digest of the touched region
+  /// is bit-identical to the seal's, so the check costs no extra read).
   void z_begin(Scratch& s, const fft::cplx* pencil, std::size_t nst);
   /// After the stage transformed all `nst` sticks in place: transforms the
   /// checksum band with the same-direction plan and checks linearity and

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <thread>
 
 #include "core/env.hpp"
 #include "core/error.hpp"
@@ -39,21 +38,16 @@ bool env_flag(const char* name) {
 
 // Exchange-path health: staging_bytes counts every byte the staged
 // (non-fused) transposes marshal through intermediate buffers (zero when
-// the fused layouts are on -- that is the "zero-copy" claim, measurable);
-// overlap_hidden_ms is, per overlapped chunk wait, the post-to-wait-entry
-// window in which the exchange progressed behind compute.
+// the fused layouts are on -- that is the "zero-copy" claim, measurable).
 struct ExchangeMetrics {
   core::Counter& staging_bytes;
   core::Histogram& staging_us;
-  core::Histogram& overlap_hidden_ms;
 };
 
 ExchangeMetrics& exchange_metrics() {
   auto& reg = core::MetricsRegistry::global();
-  static ExchangeMetrics m{
-      reg.counter("fftx.exchange.staging_bytes"),
-      reg.histogram("fftx.exchange.staging_us"),
-      reg.histogram("fftx.exchange.overlap_hidden_ms")};
+  static ExchangeMetrics m{reg.counter("fftx.exchange.staging_bytes"),
+                           reg.histogram("fftx.exchange.staging_us")};
   return m;
 }
 
@@ -72,13 +66,6 @@ class StagingTimer {
  private:
   double t0_;
 };
-
-/// Deterministic stick-chunk boundary: chunk c of C over n sticks.  Pure
-/// arithmetic on globally known quantities, so every rank derives every
-/// peer's chunks without communicating.
-std::size_t chunk_bound(std::size_t n, int c, int nchunks) {
-  return n * static_cast<std::size_t>(c) / static_cast<std::size_t>(nchunks);
-}
 
 /// Applies the wire round-trip to one value (identity at Fp64).  The
 /// ntg == 1 pack/unpack shortcuts use this to reproduce exactly the
@@ -130,31 +117,12 @@ std::array<double, trace::kNumPhaseKinds> expected_phase_shares(
 
 bool default_fused_exchange() { return env_flag("FFTX_FUSED_EXCHANGE"); }
 
-bool default_overlap_exchange() { return env_flag("FFTX_OVERLAP_EXCHANGE"); }
-
 bool default_real_bands() { return env_flag("FFTX_R2C"); }
 
 int default_stream_bands() {
   int bands = 2;
   core::env_int_in("FFTX_STREAM_BANDS", bands, 1, 4096, "streaming");
   return bands;
-}
-
-bool default_stream_nonblocking() {
-  bool nb = true;
-  core::env_flag("FFTX_STREAM_NB", nb, "streaming");
-  return nb;
-}
-
-int default_overlap_chunks() {
-  // Chunking only pays when rank-threads actually run concurrently: on a
-  // single hardware thread every extra chunk is pure context-switch and
-  // post/wait overhead, so fall back to one chunk (still nonblocking --
-  // the exchange is posted before the last Z-FFT batch, and each rank
-  // pulls its own receives at its post, test() and wait()).
-  int chunks = std::thread::hardware_concurrency() > 1 ? 4 : 1;
-  core::env_int_in("FFTX_OVERLAP_CHUNKS", chunks, 1, 1 << 20, "pipeline");
-  return chunks;
 }
 
 const char* to_string(PipelineMode mode) {
@@ -203,15 +171,12 @@ BandFftPipeline::BandFftPipeline(mpi::Comm world,
            cfg_.real_bands
                ? "real-band pair count must be a positive multiple of ntg"
                : "num_bands must be a positive multiple of ntg");
-  FX_CHECK(cfg_.overlap_chunks >= 1, "overlap_chunks must be >= 1");
   FX_ASSERT(pack_.size() == desc_->ntg() && pack_.rank() == g_);
   FX_ASSERT(scat_.size() == desc_->group_size() && scat_.rank() == b_);
 
   // A narrow wire exists only on the view exchanges, so it implies the
   // fused layouts (the staged Alltoallv would ship fp64 regardless).
-  fused_ = cfg_.fused_exchange || cfg_.overlap_exchange ||
-           cfg_.wire_format != mpi::WireFormat::Fp64;
-  overlap_ = cfg_.overlap_exchange;
+  fused_ = cfg_.fused_exchange || cfg_.wire_format != mpi::WireFormat::Fp64;
 
   const int ntg = desc_->ntg();
   const int rgroup = desc_->group_size();
@@ -254,8 +219,7 @@ BandFftPipeline::BandFftPipeline(mpi::Comm world,
   }
 
   if (fused_) {
-    // Fused layouts (see the header): stick-ordered scatter runs so any
-    // overlap chunk is a contiguous sub-slice on both sides.
+    // Fused layouts (see the header): stick-ordered scatter runs.
     const std::size_t nz = desc_->dims().nz;
     const std::size_t nxny = desc_->dims().plane();
     scat_send_runs_.resize(static_cast<std::size_t>(rgroup));
@@ -751,28 +715,23 @@ void BandFftPipeline::do_psi_prep(WorkBuffers& wb, int iter) {
   flip(wb.pencil.data(), wb.pencil.size());
 }
 
-void BandFftPipeline::fft_z_range(WorkBuffers& wb, int iter, Direction dir,
-                                  std::size_t lo, std::size_t hi) {
-  const std::size_t nz = desc_->dims().nz;
-  const fft::BatchPlan1d& plan =
-      dir == Direction::Backward ? *z_to_real_ : *z_to_recip_;
-  FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::FftZ, iter,
-                 trace::fft_cost((hi - lo) * nz, nz).instructions);
-  plan.execute_many(hi - lo, wb.pencil.data() + lo * nz, 1, nz,
-                    wb.pencil.data() + lo * nz, 1, nz,
-                    fft::thread_workspace());
-}
-
 void BandFftPipeline::do_fft_z(WorkBuffers& wb, int iter, Direction dir,
                                bool use_taskloop) {
   const std::size_t nst = desc_->nsticks_group(b_);
+  const std::size_t nz = desc_->dims().nz;
+  const fft::BatchPlan1d& plan =
+      dir == Direction::Backward ? *z_to_real_ : *z_to_recip_;
   if (abft_ != nullptr) {
     FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
                    trace::copy_cost(wb.pencil.size()).instructions);
     abft_->z_begin(wb.abft, wb.pencil.data(), nst);
   }
   auto chunk = [&](std::size_t lo, std::size_t hi) {
-    fft_z_range(wb, iter, dir, lo, hi);
+    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::FftZ, iter,
+                   trace::fft_cost((hi - lo) * nz, nz).instructions);
+    plan.execute_many(hi - lo, wb.pencil.data() + lo * nz, 1, nz,
+                      wb.pencil.data() + lo * nz, 1, nz,
+                      fft::thread_workspace());
   };
   if (use_taskloop && rt_ != nullptr && nst > 0) {
     rt_->taskloop("fft_z", 0, nst, cfg_.grain_z, chunk);
@@ -843,219 +802,6 @@ void BandFftPipeline::do_vofr(WorkBuffers& wb, int iter) {
   flip(wb.planes.data(), wb.planes.size());
 }
 
-void BandFftPipeline::do_fft_z_scatter_fw(WorkBuffers& wb, int iter,
-                                          bool use_taskloop) {
-  const std::size_t nst = desc_->nsticks_group(b_);
-  const auto ru = static_cast<std::size_t>(desc_->group_size());
-  const int nchunks = cfg_.overlap_chunks;
-
-  if (abft_ != nullptr) {
-    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
-                   trace::copy_cost(wb.pencil.size()).instructions);
-    abft_->check_pencil(wb.abft, wb.pencil.data(), wb.pencil.size());
-    abft_->z_reset(wb.abft);
-  }
-  // Fused stage verdicts happen once, after the last wait: the Z linearity
-  // check over the whole (in-place transformed) pencil, then the exchange
-  // energy conservation into the landed planes.
-  auto abft_done = [&] {
-    if (abft_ != nullptr) {
-      FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
-                     trace::copy_cost(wb.pencil.size() + wb.planes.size())
-                         .instructions);
-      abft_->z_verify(wb.abft, wb.pencil.data(), nst, Direction::Backward);
-      std::size_t elems = 0;
-      for (std::size_t c : scat_recv_counts_) elems += c;
-      abft_->exchange_send(wb.abft, wb.abft.z_e_post, elems, 0);
-      abft_->seal_planes(wb.abft, wb.planes.data(), wb.planes.size());
-    }
-    flip(wb.planes.data(), wb.planes.size());
-  };
-
-  // Deferred until right before the first chunk's exchange (which scatters
-  // into the zeroed grid): zeroing planes up front would only let the
-  // Z-FFT evict them again.
-  auto zero_planes = [&] {
-    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Scatter, iter,
-                   trace::copy_cost(wb.planes.size()).instructions);
-    std::fill(wb.planes.begin(), wb.planes.end(), cplx{0.0, 0.0});
-  };
-
-  auto fft_chunk = [&](std::size_t lo, std::size_t hi) {
-    // Fold this chunk into the checksum band before it transforms in
-    // place -- the capture must see pre-FFT data.
-    if (abft_ != nullptr) abft_->z_accumulate(wb.abft, wb.pencil.data(), lo, hi);
-    if (use_taskloop && rt_ != nullptr && hi > lo) {
-      rt_->taskloop("fft_z", lo, hi, cfg_.grain_z,
-                    [&](std::size_t clo, std::size_t chi) {
-                      fft_z_range(wb, iter, Direction::Backward, clo, chi);
-                    });
-    } else {
-      fft_z_range(wb, iter, Direction::Backward, lo, hi);
-    }
-  };
-  // Chunk c of any rank with n sticks is [n*c/C, n*(c+1)/C): globally
-  // agreed arithmetic, so the per-chunk receive views below line up with
-  // what each peer posts for the same chunk.
-  auto chunk_views = [&](int c, std::vector<mpi::SegView>& sviews,
-                         std::vector<mpi::SegView>& rviews) {
-    const std::size_t lo = chunk_bound(nst, c, nchunks);
-    const std::size_t hi = chunk_bound(nst, c + 1, nchunks);
-    for (std::size_t p = 0; p < ru; ++p) {
-      sviews[p] = mpi::SegView(scat_send_runs_[p].data() + lo, hi - lo);
-      const std::size_t nq = scat_recv_runs_[p].size();
-      const std::size_t qlo = chunk_bound(nq, c, nchunks);
-      const std::size_t qhi = chunk_bound(nq, c + 1, nchunks);
-      rviews[p] = mpi::SegView(scat_recv_runs_[p].data() + qlo, qhi - qlo);
-    }
-    return std::pair{lo, hi};
-  };
-
-  std::vector<mpi::SegView> sviews(ru);
-  std::vector<mpi::SegView> rviews(ru);
-  if (cfg_.guard_exchanges) {
-    // Guarded chunks stay blocking (digest + agreement per chunk): fused
-    // and verified, just not overlapped.
-    for (int c = 0; c < nchunks; ++c) {
-      const auto [lo, hi] = chunk_views(c, sviews, rviews);
-      fft_chunk(lo, hi);
-      if (c == 0) zero_planes();
-      transpose({.comm = &scat_, .send = wb.pencil.data(),
-                 .recv = wb.planes.data(), .sviews = sviews, .rviews = rviews},
-                /*tag=*/iter);
-    }
-    abft_done();
-    return;
-  }
-  std::vector<mpi::Request> reqs(static_cast<std::size_t>(nchunks));
-  std::vector<double> t_post(static_cast<std::size_t>(nchunks));
-  std::vector<bool> done(static_cast<std::size_t>(nchunks), false);
-  for (int c = 0; c < nchunks; ++c) {
-    const auto cu = static_cast<std::size_t>(c);
-    const auto [lo, hi] = chunk_views(c, sviews, rviews);
-    fft_chunk(lo, hi);
-    if (c == 0) zero_planes();
-    reqs[cu] = scat_.ialltoallv_view(wb.pencil.data(), sviews,
-                                     wb.planes.data(), rviews, sizeof(cplx),
-                                     /*tag=*/iter, cfg_.wire_format);
-    t_post[cu] = WallTimer::now();
-    // Poll earlier chunks between FFT chunks.  test() pulls this rank's
-    // column -- every chunk transfer into it whose sender has posted
-    // (receiver-copies rule, complete_nb in simmpi) -- and finalizes a
-    // ready request (fault injection, completion accounting), so that work
-    // runs inside the compute region instead of behind the final waits.
-    for (int k = 0; k < c; ++k) {
-      const auto ku = static_cast<std::size_t>(k);
-      if (!done[ku]) done[ku] = reqs[ku].test();
-    }
-  }
-  for (int c = 0; c < nchunks; ++c) {
-    const auto cu = static_cast<std::size_t>(c);
-    exchange_metrics().overlap_hidden_ms.record(
-        (WallTimer::now() - t_post[cu]) * 1e3);
-    reqs[cu].wait();
-  }
-  abft_done();
-}
-
-void BandFftPipeline::do_scatter_bw_fft_z(WorkBuffers& wb, int iter,
-                                          bool use_taskloop) {
-  const std::size_t nst = desc_->nsticks_group(b_);
-  const auto ru = static_cast<std::size_t>(desc_->group_size());
-  const int nchunks = cfg_.overlap_chunks;
-
-  double e_send = 0.0;
-  if (abft_ != nullptr) {
-    FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
-                   trace::copy_cost(wb.planes.size()).instructions);
-    abft_->check_planes(wb.abft, wb.planes.data(), wb.planes.size());
-    e_send = abft_->stick_energy(wb.planes.data());
-    abft_->z_reset(wb.abft);
-  }
-  // The per-chunk accumulation below sums received (pre-FFT) pencil energy
-  // as a side effect, so the exchange check reuses it as e_recv.
-  auto abft_done = [&] {
-    if (abft_ != nullptr) {
-      FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
-                     trace::copy_cost(wb.pencil.size()).instructions);
-      abft_->exchange_send(wb.abft, e_send, wb.pencil.size(), 1);
-      abft_->z_verify(wb.abft, wb.pencil.data(), nst, Direction::Forward);
-    }
-    flip(wb.pencil.data(), wb.pencil.size());
-  };
-
-  auto fft_chunk = [&](std::size_t lo, std::size_t hi) {
-    if (abft_ != nullptr) abft_->z_accumulate(wb.abft, wb.pencil.data(), lo, hi);
-    if (use_taskloop && rt_ != nullptr && hi > lo) {
-      rt_->taskloop("fft_z", lo, hi, cfg_.grain_z,
-                    [&](std::size_t clo, std::size_t chi) {
-                      fft_z_range(wb, iter, Direction::Forward, clo, chi);
-                    });
-    } else {
-      fft_z_range(wb, iter, Direction::Forward, lo, hi);
-    }
-  };
-  // Sides swapped relative to the forward leg: chunk c receives MY stick
-  // chunk [lo, hi) back into the pencil, sending each peer q its own stick
-  // chunk out of the planes.
-  auto chunk_views = [&](int c, std::vector<mpi::SegView>& sviews,
-                         std::vector<mpi::SegView>& rviews) {
-    const std::size_t lo = chunk_bound(nst, c, nchunks);
-    const std::size_t hi = chunk_bound(nst, c + 1, nchunks);
-    for (std::size_t p = 0; p < ru; ++p) {
-      const std::size_t nq = scat_recv_runs_[p].size();
-      const std::size_t qlo = chunk_bound(nq, c, nchunks);
-      const std::size_t qhi = chunk_bound(nq, c + 1, nchunks);
-      sviews[p] = mpi::SegView(scat_recv_runs_[p].data() + qlo, qhi - qlo);
-      rviews[p] = mpi::SegView(scat_send_runs_[p].data() + lo, hi - lo);
-    }
-    return std::pair{lo, hi};
-  };
-
-  std::vector<mpi::SegView> sviews(ru);
-  std::vector<mpi::SegView> rviews(ru);
-  if (cfg_.guard_exchanges) {
-    for (int c = 0; c < nchunks; ++c) {
-      const auto [lo, hi] = chunk_views(c, sviews, rviews);
-      transpose({.comm = &scat_, .send = wb.planes.data(),
-                 .recv = wb.pencil.data(), .sviews = sviews, .rviews = rviews},
-                /*tag=*/iter);
-      fft_chunk(lo, hi);
-    }
-    abft_done();
-    return;
-  }
-  // Post every chunk up front, then transform each chunk as it lands: the
-  // tail chunks' traffic hides behind the head chunks' Z-FFTs.
-  std::vector<mpi::Request> reqs(static_cast<std::size_t>(nchunks));
-  std::vector<double> t_post(static_cast<std::size_t>(nchunks));
-  std::vector<std::pair<std::size_t, std::size_t>> ranges(
-      static_cast<std::size_t>(nchunks));
-  for (int c = 0; c < nchunks; ++c) {
-    const auto cu = static_cast<std::size_t>(c);
-    ranges[cu] = chunk_views(c, sviews, rviews);
-    reqs[cu] = scat_.ialltoallv_view(wb.planes.data(), sviews,
-                                     wb.pencil.data(), rviews, sizeof(cplx),
-                                     /*tag=*/iter, cfg_.wire_format);
-    t_post[cu] = WallTimer::now();
-  }
-  for (int c = 0; c < nchunks; ++c) {
-    const auto cu = static_cast<std::size_t>(c);
-    exchange_metrics().overlap_hidden_ms.record(
-        (WallTimer::now() - t_post[cu]) * 1e3);
-    reqs[cu].wait();
-    fft_chunk(ranges[cu].first, ranges[cu].second);
-    // Advance the later chunks between Z-FFT chunks: test() pulls this
-    // rank's column of each (every transfer whose sender has posted) and
-    // finalizes the ones that are complete.
-    for (int k = c + 1; k < nchunks; ++k) {
-      const auto ku = static_cast<std::size_t>(k);
-      if (!reqs[ku].test()) break;
-    }
-  }
-  abft_done();
-}
-
 void BandFftPipeline::do_iteration(WorkBuffers& wb, int iter,
                                    bool use_taskloop) {
   // The observatory hears the iteration end on every exit (a rank that
@@ -1071,21 +817,13 @@ void BandFftPipeline::do_iteration(WorkBuffers& wb, int iter,
   } obs_done{w_, iter};
   do_exchange(kPack, wb, iter);
   do_psi_prep(wb, iter);
-  if (overlap_) {
-    do_fft_z_scatter_fw(wb, iter, use_taskloop);
-  } else {
-    do_fft_z(wb, iter, Direction::Backward, use_taskloop);
-    do_exchange(kScatterFw, wb, iter);
-  }
+  do_fft_z(wb, iter, Direction::Backward, use_taskloop);
+  do_exchange(kScatterFw, wb, iter);
   do_fft_xy(wb, iter, Direction::Backward, use_taskloop);
   if (cfg_.apply_potential) do_vofr(wb, iter);
   do_fft_xy(wb, iter, Direction::Forward, use_taskloop);
-  if (overlap_) {
-    do_scatter_bw_fft_z(wb, iter, use_taskloop);
-  } else {
-    do_exchange(kScatterBw, wb, iter);
-    do_fft_z(wb, iter, Direction::Forward, use_taskloop);
-  }
+  do_exchange(kScatterBw, wb, iter);
+  do_fft_z(wb, iter, Direction::Forward, use_taskloop);
   do_exchange(kUnpack, wb, iter);
 }
 

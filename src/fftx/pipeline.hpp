@@ -38,11 +38,12 @@
 //   Combined    -- the paper's future-work item: TaskPerFft tasks whose
 //                  FFT steps also taskloop across idle workers;
 //   Streaming   -- the step shape with FFTX_STREAM_BANDS = N iterations in
-//                  flight; when the fused layouts are on, each transpose
-//                  exchange splits into a nonblocking post task and a
-//                  completion-waitable task, so band k+1's Z-FFT runs while
-//                  band k's scatter is on the wire (N = 1 recovers the
-//                  staged order).
+//                  flight; when the fused layouts are on and guards off,
+//                  each transpose exchange splits into a nonblocking post
+//                  task and a completion-waitable task, so band k+1's Z-FFT
+//                  runs while band k's scatter is on the wire (N = 1
+//                  recovers the staged order).  These are the band
+//                  loop's only nonblocking exchanges.
 //
 // All modes produce bit-identical coefficients (asserted by the tests):
 // the optimizations reorder work, never arithmetic within a band.
@@ -73,19 +74,11 @@ const char* to_string(PipelineMode mode);
 
 /// Default of PipelineConfig::fused_exchange: FFTX_FUSED_EXCHANGE != 0.
 [[nodiscard]] bool default_fused_exchange();
-/// Default of PipelineConfig::overlap_exchange: FFTX_OVERLAP_EXCHANGE != 0.
-[[nodiscard]] bool default_overlap_exchange();
-/// Default of PipelineConfig::overlap_chunks: FFTX_OVERLAP_CHUNKS (>= 1),
-/// else 4.
-[[nodiscard]] int default_overlap_chunks();
 /// Default of PipelineConfig::real_bands: FFTX_R2C != 0.
 [[nodiscard]] bool default_real_bands();
 /// Default of PipelineConfig::stream_bands: FFTX_STREAM_BANDS in [1, 4096],
 /// else 2.
 [[nodiscard]] int default_stream_bands();
-/// Default of PipelineConfig::stream_nonblocking: FFTX_STREAM_NB != 0,
-/// else true.
-[[nodiscard]] bool default_stream_nonblocking();
 
 struct PipelineConfig {
   int num_bands = 8;
@@ -108,13 +101,10 @@ struct PipelineConfig {
   /// deleting the marshalling (staging) passes.  Bit-identical to the
   /// staged path.
   bool fused_exchange = default_fused_exchange();
-  /// Chunk the Z-FFT by sticks and run each finished chunk's scatter as a
-  /// nonblocking exchange, overlapping transpose traffic with the
-  /// remaining transforms.  Implies the fused layouts; guarded exchanges
-  /// fall back to per-chunk blocking (fused, verified, not overlapped).
-  bool overlap_exchange = default_overlap_exchange();
-  /// Stick chunks per overlapped scatter (>= 1; must agree across ranks).
-  int overlap_chunks = default_overlap_chunks();
+  /// Constant: there is no in-band chunked overlap; an exchange overlaps
+  /// compute only as a Streaming split exchange.  Kept (with the constant
+  /// below) so configuration records keep the field.
+  static constexpr bool overlap_exchange = false;
   /// Gamma-point real-band mode: bands are Hermitian-symmetrized (so their
   /// real-space fields are real) and carried through the pipeline two to a
   /// complex band -- pair p packs band 2p as the real part and band 2p + 1
@@ -128,7 +118,7 @@ struct PipelineConfig {
   /// the bit-exact default; Fp32/Bf16 narrow the payload in flight (and
   /// imply the fused layouts -- the staged Alltoallv path has no wire
   /// narrowing).  Composes with guard_exchanges (digests hash the wire
-  /// encoding) and overlap_exchange.  Quantization error is tracked in the
+  /// encoding).  Quantization error is tracked in the
   /// fftx.exchange.wire_max_ulp_err gauge.
   mpi::WireFormat wire_format = mpi::default_wire_format();
   /// Silent-data-corruption detection across every stage: checksum bands
@@ -146,14 +136,13 @@ struct PipelineConfig {
   /// the buffer-slot ring; bounded memory and backpressure).  1 recovers
   /// the staged execution order; clamped to the iteration count, and --
   /// when the stage tasks block in collectives (guarded or staged
-  /// exchanges, or stream_nonblocking off) -- to nthreads by the
-  /// executor's blocking-depth rule (DESIGN.md section 17).
+  /// exchanges) -- to nthreads by the executor's blocking-depth rule
+  /// (DESIGN.md section 17).
   int stream_bands = default_stream_bands();
-  /// Streaming mode only: split each fused transpose exchange into a
-  /// nonblocking post task and a completion-waitable task, so workers run
-  /// other bands' compute while the exchange is on the wire.  Off (or
-  /// guarded / staged layouts) falls back to blocking stage tasks.
-  bool stream_nonblocking = default_stream_nonblocking();
+  /// Constant: under Streaming with the fused layouts and no guard, every
+  /// transpose exchange splits into a nonblocking post task and a
+  /// completion-waitable task; StreamExecutor::run alone decides.
+  static constexpr bool stream_nonblocking = true;
   /// Wall-clock budget for the whole run (inactive by default).  Checked
   /// collectively at every band-iteration boundary: when any rank sees the
   /// budget spent, every rank throws core::DeadlineExceeded in lockstep --
@@ -297,20 +286,11 @@ class BandFftPipeline {
   void unpack_after(WorkBuffers& wb, int iter);
 
   void do_psi_prep(WorkBuffers& wb, int iter);
-  void fft_z_range(WorkBuffers& wb, int iter, fft::Direction dir,
-                   std::size_t lo, std::size_t hi);
   void do_fft_z(WorkBuffers& wb, int iter, fft::Direction dir,
                 bool use_taskloop);
   void do_fft_xy(WorkBuffers& wb, int iter, fft::Direction dir,
                  bool use_taskloop);
   void do_vofr(WorkBuffers& wb, int iter);
-
-  /// Overlapped forward leg: Z-FFT stick chunks, each finished chunk's
-  /// scatter posted nonblocking while the next chunk transforms.
-  void do_fft_z_scatter_fw(WorkBuffers& wb, int iter, bool use_taskloop);
-  /// Overlapped backward leg: all chunk scatters posted up front, each
-  /// arrival's Z-FFT running while later chunks are still in flight.
-  void do_scatter_bw_fft_z(WorkBuffers& wb, int iter, bool use_taskloop);
 
   void run_original();
 
@@ -343,9 +323,8 @@ class BandFftPipeline {
   mpi::Comm pack_;  ///< the T neighboring ranks (band redistribution)
   mpi::Comm scat_;  ///< the R alternating ranks (pencil<->plane exchange)
 
-  bool fused_ = false;    ///< fused_exchange || overlap_exchange || wire
-  bool overlap_ = false;  ///< overlap_exchange
-  int npsi_ = 0;          ///< complex bands in the loop (see num_psi())
+  bool fused_ = false;  ///< fused_exchange || narrow wire
+  int npsi_ = 0;        ///< complex bands in the loop (see num_psi())
 
   // Per-band packed coefficients (this rank's world-stick slice), one
   // arena with band n at n * ng_world(w): the fused pack/unpack exchanges
@@ -379,8 +358,7 @@ class BandFftPipeline {
   // Fused scatter layouts, precomputed (iteration-independent).  Send side
   // addresses the pencil buffer: run j of peer p is stick j's npz(p)
   // z-planes.  Receive side addresses the plane buffer: run j of peer q is
-  // stick group_sticks(q)[j]'s (x, y) column, stride nx * ny.  Runs are
-  // stick-ordered, so an overlap chunk's views are contiguous sub-slices.
+  // stick group_sticks(q)[j]'s (x, y) column, stride nx * ny.
   std::vector<std::vector<mpi::SegRun>> scat_send_runs_;  // [peer][stick]
   std::vector<std::vector<mpi::SegRun>> scat_recv_runs_;  // [peer][stick]
   // Fused pack layouts: member m's band of the iteration, relative to

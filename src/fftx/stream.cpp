@@ -190,21 +190,13 @@ void StreamExecutor::submit_iteration(Slot& slot, int iter) {
   };
   // The ntg == 1 pack and unpack are local copies: nothing to split.
   const bool split_pack = split_ && ntg > 1;
-  // Split exchanges supersede the chunked-overlap legs.
-  const bool overlap = p.overlap_ && !split_;
 
   submit_exchange(slot, iter, BandFftPipeline::kPack, psi_in, split_pack);
   seq("psi_prep", [this, wb, iter] { p_.do_psi_prep(*wb, iter); });
-  if (overlap) {
-    seq("fft_z_scatter_fw", [this, wb, iter, taskloop] {
-      p_.do_fft_z_scatter_fw(*wb, iter, taskloop);
-    });
-  } else {
-    seq("fft_z_fw", [this, wb, iter, taskloop] {
-      p_.do_fft_z(*wb, iter, Direction::Backward, taskloop);
-    });
-    submit_exchange(slot, iter, BandFftPipeline::kScatterFw, {}, split_);
-  }
+  seq("fft_z_fw", [this, wb, iter, taskloop] {
+    p_.do_fft_z(*wb, iter, Direction::Backward, taskloop);
+  });
+  submit_exchange(slot, iter, BandFftPipeline::kScatterFw, {}, split_);
   seq("fft_xy_fw", [this, wb, iter, taskloop] {
     p_.do_fft_xy(*wb, iter, Direction::Backward, taskloop);
   });
@@ -214,16 +206,10 @@ void StreamExecutor::submit_iteration(Slot& slot, int iter) {
   seq("fft_xy_bw", [this, wb, iter, taskloop] {
     p_.do_fft_xy(*wb, iter, Direction::Forward, taskloop);
   });
-  if (overlap) {
-    seq("scatter_bw_fft_z", [this, wb, iter, taskloop] {
-      p_.do_scatter_bw_fft_z(*wb, iter, taskloop);
-    });
-  } else {
-    submit_exchange(slot, iter, BandFftPipeline::kScatterBw, {}, split_);
-    seq("fft_z_bw", [this, wb, iter, taskloop] {
-      p_.do_fft_z(*wb, iter, Direction::Forward, taskloop);
-    });
-  }
+  submit_exchange(slot, iter, BandFftPipeline::kScatterBw, {}, split_);
+  seq("fft_z_bw", [this, wb, iter, taskloop] {
+    p_.do_fft_z(*wb, iter, Direction::Forward, taskloop);
+  });
   submit_exchange(slot, iter, BandFftPipeline::kUnpack, psi_out, split_pack);
 }
 
@@ -256,8 +242,11 @@ void StreamExecutor::run() {
                    cfg.mode == PipelineMode::Combined;
   taskloop_ = cfg.mode == PipelineMode::TaskPerStep ||
               cfg.mode == PipelineMode::Combined;
-  split_ = cfg.mode == PipelineMode::Streaming && cfg.stream_nonblocking &&
-           p.fused_ && !cfg.guard_exchanges;
+  // The one split decision, which no option overrides: a split exchange
+  // never blocks its task, so it needs the fused view layouts and no guard
+  // (whose digest agreement is a blocking collective).
+  split_ = cfg.mode == PipelineMode::Streaming && p.fused_ &&
+           !cfg.guard_exchanges;
   depth_ = std::clamp(
       cfg.mode == PipelineMode::Streaming ? cfg.stream_bands : cfg.nthreads,
       1, iterations);

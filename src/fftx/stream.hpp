@@ -16,8 +16,8 @@
 // front and borrow a buffer set from the pipeline's pool when they start.
 //
 // Exchanges block inside their stage task, except under Streaming with the
-// fused view layouts on (and neither guards nor FFTX_STREAM_NB=0): there
-// each exchange stage splits into
+// fused view layouts on and guards off: there, and only there, each
+// exchange stage splits into
 //
 //   post task      (before half + nonblocking ialltoallv_view)
 //   waitable task  (TaskRuntime::submit_waitable; parks until complete,
@@ -25,7 +25,9 @@
 //
 // so no worker is ever pinned inside a collective: while band k's scatter
 // is on the wire, the workers run band k+1's forward Z-FFT and band k-1's
-// backward leg.
+// backward leg.  These are the band loop's only nonblocking exchanges,
+// and no option turns them on or off: the rule above, evaluated in
+// StreamExecutor::run, is the whole decision.
 //
 // Ordering and deadlock freedom: every rank submits the same tasks in the
 // same order, the chain forces in-iteration program order, and exchanges of

@@ -176,16 +176,15 @@ ServeConfig ServeConfig::from_env() {
 }
 
 DegradeEffect apply_degrade_level(int level, mpi::WireFormat requested) {
-  DegradeEffect e{requested, 0, -1, 0, {}};
+  DegradeEffect e{requested, -1, 0, {}};
   if (level >= 1 && requested == mpi::WireFormat::Fp64) {
     e.wire = mpi::WireFormat::Fp32;
     e.note = "wire fp64->fp32";
   }
   if (level >= 2) {
-    e.overlap_chunks = 1;
     e.stream_bands = 1;  // fold the streaming ring: one band in flight
     if (!e.note.empty()) e.note += ", ";
-    e.note += "overlap chunks->1, stream depth->1";
+    e.note += "stream depth->1";
   }
   if (level >= 3) {
     e.checkpoint_bands = 0;
@@ -256,7 +255,6 @@ struct Frontend::Order {
   mpi::WireFormat wire_requested = mpi::WireFormat::Fp64;
   mpi::WireFormat wire = mpi::WireFormat::Fp64;
   int carried_total = 0;
-  int overlap_chunks = 0;    ///< 0 = keep configured default
   int checkpoint_bands = -1; ///< -1 = keep configured default
   int stream_bands = 0;      ///< 0 = keep configured default
   int degrade_level = 0;
@@ -513,7 +511,6 @@ std::shared_ptr<Frontend::Order> Frontend::schedule_locked(int world_size) {
                                           cfg_.degrade_watermark);
   DegradeEffect eff = apply_degrade_level(o->degrade_level, o->wire_requested);
   o->wire = eff.wire;
-  o->overlap_chunks = eff.overlap_chunks;
   o->checkpoint_bands = eff.checkpoint_bands;
   o->stream_bands = eff.stream_bands;
   o->degrade_note = std::move(eff.note);
@@ -643,7 +640,6 @@ bool Frontend::execute_group(mpi::Comm& world, Order& o) {
   cfg.real_bands = o.real;
   cfg.wire_format = o.wire;
   cfg.deadline = core::Deadline::at(o.deadline_expiry);
-  if (o.overlap_chunks > 0) cfg.overlap_chunks = o.overlap_chunks;
   if (o.stream_bands > 0) cfg.stream_bands = o.stream_bands;
   fftx::RecoveryConfig rcfg = cfg_.recovery;
   if (o.checkpoint_bands >= 0) rcfg.checkpoint_bands = o.checkpoint_bands;
@@ -703,8 +699,10 @@ void Frontend::fulfill_completed(Order& o,
       Tenant& t = tenant_locked(mm.req.tenant);
       t.latency_ms->record(lat_ms);
     }
-    fulfill(*mm.state, std::move(resp));
+    // Outcome before publication: a caller woken by this response must
+    // see the breaker already closed (a successful half-open probe).
     breaker_success(mm.req.tenant);
+    fulfill(*mm.state, std::move(resp));
   }
 }
 
@@ -722,8 +720,10 @@ void Frontend::fulfill_terminal(Order& o, Status st, const std::string& why,
     resp.exec_s = exec_s;
     (st == Status::Failed ? m.failed : m.deadline_cancelled).add();
     m.latency_ms.record((now - mm.admit_ts) * 1e3);
-    fulfill(*mm.state, std::move(resp));
+    // Strike before publication: a client woken by the Failed response
+    // must not be admitted ahead of the strike that quarantines it.
     if (st == Status::Failed) breaker_strike(mm.req.tenant);
+    fulfill(*mm.state, std::move(resp));
   }
 }
 

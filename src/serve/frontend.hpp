@@ -34,10 +34,9 @@
 //   graceful degradation -- under queue pressure (fill fraction past
 //     FFTX_SERVE_DEGRADE_WATERMARK) or post-shrink capacity loss the
 //     scheduler steps executions down a declared ladder: L1 narrows the
-//     wire to fp32, L2 drops the overlap chunking to one chunk and folds
-//     the streaming ring to one band in flight (shedding the extra
-//     in-flight band buffers), L3 drops the checkpoint cadence to
-//     end-of-run only.  The applied level is
+//     wire to fp32, L2 folds the streaming ring to one band in flight
+//     (shedding the extra in-flight band buffers), L3 drops the
+//     checkpoint cadence to end-of-run only.  The applied level is
 //     recorded in the Response (status CompletedDegraded), so callers
 //     know what they got.
 //
@@ -176,7 +175,7 @@ struct ServeConfig {
   double degrade_watermark = 0.75;  ///< FFTX_SERVE_DEGRADE_WATERMARK
   int ntg = 1;                 ///< FFTX_SERVE_NTG: task-group preference
   double idle_poll_ms = 2.0;   ///< scheduler wait slice when idle
-  /// Execution guts (guard/overlap/recovery knobs ride the usual env
+  /// Execution guts (guard/stream/recovery knobs ride the usual env
   /// defaults; deadline and wire come from each group).
   fftx::PipelineConfig pipeline{};
   fftx::RecoveryConfig recovery = fftx::RecoveryConfig::from_env();
@@ -189,7 +188,6 @@ struct ServeConfig {
 /// identity.  Exposed for unit tests.
 struct DegradeEffect {
   mpi::WireFormat wire;
-  int overlap_chunks;    ///< 0 = keep configured value
   int checkpoint_bands;  ///< -1 = keep configured value
   int stream_bands;      ///< 0 = keep configured value (streaming depth)
   std::string note;

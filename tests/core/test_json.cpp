@@ -88,9 +88,9 @@ TEST(Json, RejectsMalformed) {
 
 TEST(Json, KindMismatchThrows) {
   const auto v = json::parse("42");
-  EXPECT_THROW(v.as_string(), fx::core::Error);
-  EXPECT_THROW(v.as_array(), fx::core::Error);
-  EXPECT_THROW(json::parse("[]").as_number(), fx::core::Error);
+  EXPECT_THROW((void)v.as_string(), fx::core::Error);
+  EXPECT_THROW((void)v.as_array(), fx::core::Error);
+  EXPECT_THROW((void)json::parse("[]").as_number(), fx::core::Error);
 }
 
 TEST(Json, FileRoundTrip) {

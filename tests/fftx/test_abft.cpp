@@ -134,7 +134,6 @@ TEST(Checksum, DigestSeesEveryBit) {
 struct AbftVariant {
   const char* name;
   bool fused = false;
-  bool overlap = false;
   bool real = false;
   WireFormat wire = WireFormat::Fp64;
   PipelineMode mode = PipelineMode::Original;
@@ -157,7 +156,6 @@ std::vector<std::vector<cplx>> run_pipeline(const AbftVariant& v,
     cfg.num_bands = kBands;
     cfg.mode = v.mode;
     cfg.fused_exchange = v.fused;
-    cfg.overlap_exchange = v.overlap;
     cfg.real_bands = v.real;
     cfg.wire_format = v.wire;
     cfg.abft = abft;
@@ -179,7 +177,6 @@ TEST(Abft, CleanRunsNeverFlagAcrossVariants) {
   const AbftVariant kVariants[] = {
       {.name = "staged"},
       {.name = "fused", .fused = true},
-      {.name = "overlap", .fused = true, .overlap = true},
       {.name = "r2c_bf16",
        .fused = true,
        .real = true,
@@ -227,13 +224,11 @@ TEST(Abft, DetectModeCatchesEveryFlipOpportunity) {
   }
 }
 
-TEST(Abft, DetectModeCatchesFlipsOnFusedOverlappedNarrowWire) {
-  const AbftVariant v{.name = "overlap_bf16",
-                      .fused = true,
-                      .overlap = true,
-                      .wire = WireFormat::Bf16};
-  // Overlapped legs fold Z-FFT and scatter into one task: 6 opportunities
-  // per iteration instead of 8.
+TEST(Abft, DetectModeCatchesFlipsOnFusedNarrowWire) {
+  const AbftVariant v{
+      .name = "fused_bf16", .fused = true, .wire = WireFormat::Bf16};
+  // The fused layouts keep all 8 flip opportunities per iteration; these
+  // land in the first three iterations.
   for (std::uint64_t op : {0U, 3U, 5U, 11U, 23U}) {
     RunOptions faulty = quiet_options();
     faulty.faults.flip_rank = 2;

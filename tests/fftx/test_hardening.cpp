@@ -54,10 +54,9 @@ RunResult run_pipeline(const RunOptions& opts, bool guard) {
     cfg.mode = PipelineMode::Original;
     cfg.guard_exchanges = guard;
     // These tests target the staged blocking Alltoallv (the fault plan
-    // selects that kind); pin the path regardless of FFTX_FUSED_EXCHANGE /
-    // FFTX_OVERLAP_EXCHANGE in the environment.
+    // selects that kind); pin the path regardless of FFTX_FUSED_EXCHANGE
+    // in the environment.
     cfg.fused_exchange = false;
-    cfg.overlap_exchange = false;
     BandFftPipeline pipe(world, desc, cfg);
     pipe.initialize_bands();
     pipe.run();

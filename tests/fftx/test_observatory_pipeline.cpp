@@ -59,7 +59,6 @@ void run_pipeline(const RunOptions& opts, AbftMode abft = AbftMode::Off) {
     // target op indices of this exact path, so environment overrides
     // (e.g. the CI fused-exchange sweep) must not leak in.
     cfg.fused_exchange = false;
-    cfg.overlap_exchange = false;
     cfg.guard_exchanges = false;
     BandFftPipeline pipe(world, desc, cfg);
     pipe.initialize_bands();

@@ -33,9 +33,8 @@ double run_and_check(const std::shared_ptr<const Descriptor>& desc,
     cfg.nthreads = nthreads;
     if (force_staged) {
       // For tests that assert staged-path artifacts (marshalling trace
-      // phases), regardless of FFTX_FUSED_EXCHANGE / FFTX_OVERLAP_EXCHANGE.
+      // phases), regardless of FFTX_FUSED_EXCHANGE.
       cfg.fused_exchange = false;
-      cfg.overlap_exchange = false;
     }
     BandFftPipeline pipe(world, desc, cfg, tracer);
     pipe.initialize_bands();

@@ -53,9 +53,7 @@ RunOptions quiet_options() {
 
 struct Variant {
   bool fused = false;
-  bool overlap = false;
   bool guard = false;
-  int chunks = 4;
 };
 
 /// One pipeline run with everything pinned; returns every carried band
@@ -73,8 +71,6 @@ std::vector<std::vector<cplx>> run_pipeline(const PipelineConfig& base,
     cfg.mode = PipelineMode::Original;
     cfg.guard_exchanges = v.guard;
     cfg.fused_exchange = v.fused;
-    cfg.overlap_exchange = v.overlap;
-    cfg.overlap_chunks = v.chunks;
     BandFftPipeline pipe(world, desc, cfg);
     pipe.initialize_bands();
     pipe.run();
@@ -133,20 +129,16 @@ TEST(R2cPipeline, RealBandsMatchPackedOracleAcrossExchangeVariants) {
 
   const auto want = packed_oracle(kBands);
   const Variant kVariants[] = {
-      {},                                              // staged blocking
-      {.fused = true},                                 // zero-copy
-      {.fused = true, .overlap = true, .chunks = 1},   // nonblocking
-      {.fused = true, .overlap = true, .chunks = 4},   // chunked overlap
-      {.fused = true, .guard = true},                  // checksummed
-      {.fused = true, .overlap = true, .guard = true}, // guarded chunks
+      {},                              // staged blocking
+      {.fused = true},                 // zero-copy
+      {.fused = true, .guard = true},  // checksummed
   };
   const auto staged = run_pipeline(cfg, kVariants[0]);
   ASSERT_EQ(staged.size(), want.size());
   EXPECT_LT(worst_abs_error(staged, want), 1e-12);
   for (const auto& v : kVariants) {
     const auto got = run_pipeline(cfg, v);
-    EXPECT_EQ(got, staged) << "fused=" << v.fused << " overlap=" << v.overlap
-                           << " guard=" << v.guard;
+    EXPECT_EQ(got, staged) << "fused=" << v.fused << " guard=" << v.guard;
   }
 }
 
@@ -219,8 +211,8 @@ TEST(WirePipeline, Bf16WireStaysWithinQuantizerBoundOfFp64) {
 }
 
 TEST(WirePipeline, NarrowWireVariantsAreBitIdentical) {
-  // Quantization is elementwise, so chunking, guarding and overlap cannot
-  // change the arithmetic: every fp32-wire variant produces the same bits.
+  // Quantization is elementwise, so guarding cannot change the arithmetic:
+  // every fp32-wire variant produces the same bits.
   // (wire != fp64 forces the fused layouts even when the flag is off.)
   PipelineConfig cfg;
   cfg.num_bands = kBands;
@@ -228,15 +220,12 @@ TEST(WirePipeline, NarrowWireVariantsAreBitIdentical) {
   const Variant kVariants[] = {
       {},  // fused implied by the wire
       {.fused = true},
-      {.fused = true, .overlap = true, .chunks = 3},
       {.fused = true, .guard = true},
-      {.fused = true, .overlap = true, .guard = true},
   };
   const auto base = run_pipeline(cfg, kVariants[0]);
   for (const auto& v : kVariants) {
     EXPECT_EQ(run_pipeline(cfg, v), base)
-        << "fused=" << v.fused << " overlap=" << v.overlap
-        << " guard=" << v.guard;
+        << "fused=" << v.fused << " guard=" << v.guard;
   }
 }
 
@@ -290,7 +279,6 @@ TEST(WirePipeline, RecoveryDriverSurvivesKillWithNarrowWire) {
       cfg.num_bands = kBands;
       cfg.mode = PipelineMode::Original;
       cfg.fused_exchange = true;
-      cfg.overlap_exchange = true;
       cfg.wire_format = WireFormat::Fp32;
       RecoveryDriver driver(world, desc, cfg, rcfg);
       std::vector<std::vector<cplx>> mine;
@@ -327,7 +315,7 @@ TEST(WirePipeline, RecoveryDriverSurvivesKillWithNarrowWire) {
   // apply the same wire quantization as the general path, so per-band
   // arithmetic -- quantizer included -- is decomposition-independent and
   // the replayed bands match the checkpointed run bitwise, exactly like
-  // the fp64 wire (FusedOverlap.RecoveryDriverSurvivesKillOnFusedOverlappedPath).
+  // the fp64 wire (FusedExchange.RecoveryDriverSurvivesKillOnFusedPath).
   EXPECT_EQ(healed, clean);
 }
 
@@ -354,7 +342,6 @@ TEST(R2cPipeline, RecoveryDriverBatchesAndReplaysPackedPairs) {
       cfg.mode = PipelineMode::Original;
       cfg.real_bands = true;
       cfg.fused_exchange = true;
-      cfg.overlap_exchange = true;
       cfg.wire_format = WireFormat::Fp64;
       RecoveryDriver driver(world, desc, cfg, rcfg);
       std::vector<std::vector<cplx>> mine;
@@ -417,7 +404,6 @@ TEST(R2cPipeline, RecoveryDriverReplaysOddBandTailPair) {
       cfg.mode = PipelineMode::Original;
       cfg.real_bands = true;
       cfg.fused_exchange = true;
-      cfg.overlap_exchange = true;
       cfg.wire_format = WireFormat::Fp64;
       RecoveryDriver driver(world, desc, cfg, rcfg);
       std::vector<std::vector<cplx>> mine;

@@ -77,11 +77,10 @@ RecoveryRun run_recovered(const RunOptions& opts, const RecoveryConfig& rcfg,
     cfg.mode = PipelineMode::Original;
     cfg.guard_exchanges = guard;
     // The fault plans here select the staged blocking Alltoallv; pin that
-    // path so FFTX_FUSED_EXCHANGE / FFTX_OVERLAP_EXCHANGE in the
-    // environment cannot redirect the injection.  (The fused/overlap
-    // recovery path has its own test in test_fused_overlap.cpp.)
+    // path so FFTX_FUSED_EXCHANGE in the environment cannot redirect the
+    // injection.  (The fused recovery path has its own test in
+    // test_fused_exchange.cpp.)
     cfg.fused_exchange = false;
-    cfg.overlap_exchange = false;
     RecoveryDriver driver(world, desc, cfg, rcfg);
     std::vector<std::vector<cplx>> mine;
     const auto rep = driver.run(mine);

@@ -52,9 +52,7 @@ RunOptions quiet_options() {
 /// Knobs a variant pins explicitly so environment overrides cannot leak in.
 struct Variant {
   int stream_bands = 2;
-  bool stream_nonblocking = true;
   bool fused = false;
-  bool overlap = false;
   bool guard = false;
   bool real_bands = false;
   WireFormat wire = WireFormat::Fp64;
@@ -68,10 +66,7 @@ PipelineConfig make_config(PipelineMode mode, int nthreads,
   cfg.mode = mode;
   cfg.nthreads = nthreads;
   cfg.stream_bands = v.stream_bands;
-  cfg.stream_nonblocking = v.stream_nonblocking;
   cfg.fused_exchange = v.fused;
-  cfg.overlap_exchange = v.overlap;
-  cfg.overlap_chunks = 2;
   cfg.guard_exchanges = v.guard;
   cfg.real_bands = v.real_bands;
   cfg.wire_format = v.wire;
@@ -107,11 +102,9 @@ std::vector<std::vector<cplx>> run_variant(PipelineMode mode, int nthreads,
 
 TEST(Streaming, DepthSweepBitIdenticalToOracleAcrossExchangeVariants) {
   const Variant kVariants[] = {
-      {.fused = false},                             // staged blocking stages
-      {.fused = true},                              // split post/wait tasks
-      {.stream_nonblocking = false, .fused = true}, // fused, blocking tasks
-      {.fused = true, .guard = true},               // guarded falls back
-      {.fused = true, .overlap = true},             // overlap folds into split
+      {.fused = false},                // staged blocking stages
+      {.fused = true},                 // split post/wait tasks
+      {.fused = true, .guard = true},  // fused blocking stage tasks
   };
   const auto oracle =
       run_variant(PipelineMode::Original, 1, Variant{.fused = false});
@@ -122,8 +115,7 @@ TEST(Streaming, DepthSweepBitIdenticalToOracleAcrossExchangeVariants) {
       const auto got = run_variant(PipelineMode::Streaming, 3, v);
       EXPECT_EQ(got, oracle)
           << "depth=" << depth << " fused=" << v.fused
-          << " nb=" << v.stream_nonblocking << " guard=" << v.guard
-          << " overlap=" << v.overlap;
+          << " guard=" << v.guard;
     }
   }
 }

@@ -45,7 +45,6 @@ RunOptions quiet_options() {
 ServeConfig test_config() {
   ServeConfig cfg;
   cfg.pipeline.fused_exchange = false;
-  cfg.pipeline.overlap_exchange = false;
   cfg.recovery.enabled = true;
   cfg.recovery.checkpoint_bands = 2;
   cfg.recovery.retry.base_delay_ms = 0.1;
@@ -78,24 +77,22 @@ TEST(ServeLadder, ChooseLevelFollowsPressureAndShrink) {
   EXPECT_EQ(fx::serve::choose_degrade_level(1.0, true, 0.0), 3);
 }
 
-TEST(ServeLadder, ApplyLevelStepsWireChunksStreamDepthCheckpoint) {
+TEST(ServeLadder, ApplyLevelStepsWireStreamDepthCheckpoint) {
   const auto l0 = fx::serve::apply_degrade_level(0, WireFormat::Fp64);
   EXPECT_EQ(l0.wire, WireFormat::Fp64);
-  EXPECT_EQ(l0.overlap_chunks, 0);
   EXPECT_EQ(l0.checkpoint_bands, -1);
   EXPECT_EQ(l0.stream_bands, 0);
 
   const auto l1 = fx::serve::apply_degrade_level(1, WireFormat::Fp64);
   EXPECT_EQ(l1.wire, WireFormat::Fp32);
-  EXPECT_EQ(l1.overlap_chunks, 0);
   EXPECT_EQ(l1.stream_bands, 0);  // streaming depth survives L1
 
-  // L2 sheds the extra in-flight band buffers along with the chunking.
+  // L2 sheds the extra in-flight band buffers.
   const auto l2 = fx::serve::apply_degrade_level(2, WireFormat::Fp64);
   EXPECT_EQ(l2.wire, WireFormat::Fp32);
-  EXPECT_EQ(l2.overlap_chunks, 1);
   EXPECT_EQ(l2.stream_bands, 1);
   EXPECT_EQ(l2.checkpoint_bands, -1);
+  EXPECT_EQ(l2.note, "wire fp64->fp32, stream depth->1");
 
   const auto l3 = fx::serve::apply_degrade_level(3, WireFormat::Fp64);
   EXPECT_EQ(l3.checkpoint_bands, 0);

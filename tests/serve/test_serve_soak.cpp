@@ -64,7 +64,6 @@ TEST(ServeSoak, OverloadWithFaultsKeepsEveryGuarantee) {
   cfg.idle_poll_ms = 1.0;
   cfg.pipeline.guard_exchanges = true;  // corruption must be survivable
   cfg.pipeline.fused_exchange = false;
-  cfg.pipeline.overlap_exchange = false;
   cfg.recovery.enabled = true;
   cfg.recovery.checkpoint_bands = 2;
   cfg.recovery.retry.base_delay_ms = 0.1;
