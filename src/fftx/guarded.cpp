@@ -15,6 +15,9 @@ namespace fx::fftx {
 
 namespace {
 
+/// Retries per guarded exchange before the structured failure.
+constexpr int kMaxRetries = 3;
+
 // Process-wide guard health, in addition to the per-pipeline GuardStats:
 // the metrics dump of a fault-injection run shows whether corruption was
 // seen and recovered from without access to the pipeline object.
@@ -106,23 +109,23 @@ std::uint64_t fnv1a_view_wire(const fft::cplx* base, mpi::SegView view,
 /// `payload()` runs the payload exchange.  `what` names the exchange in
 /// the exhaustion error.
 template <typename SendDigest, typename RecvDigest, typename Payload>
-void guarded_exchange(mpi::Comm& comm, int tag, int max_retries,
-                      GuardStats* stats, const core::Deadline& deadline,
-                      const char* what, SendDigest&& send_digest,
-                      RecvDigest&& recv_digest, Payload&& payload) {
+void guarded_exchange(mpi::Comm& comm, int tag, GuardStats* stats,
+                      const core::Deadline& deadline, const char* what,
+                      SendDigest&& send_digest, RecvDigest&& recv_digest,
+                      Payload&& payload) {
   const auto n = static_cast<std::size_t>(comm.size());
   std::vector<std::uint64_t> sent_sums(n);
   std::vector<std::uint64_t> want_sums(n);
 
   // The retry schedule comes from the unified policy (FFTX_RETRY_* env
-  // knobs); the caller's max_retries still bounds the attempt count and a
-  // live deadline tightens the wall-clock budget to what remains of it --
+  // knobs); kMaxRetries still bounds the attempt count and a live
+  // deadline tightens the wall-clock budget to what remains of it --
   // floored so an expired budget still permits the mandatory first attempt
   // (the collective must complete; the caller's next lockstep check
   // cancels).  The salt is identical on every rank, so the jittered
   // backoff is too -- ranks sleep and re-enter the exchange in lockstep.
   core::RetryPolicy policy = core::RetryPolicy::from_env();
-  policy.max_attempts = max_retries + 1;
+  policy.max_attempts = kMaxRetries + 1;
   policy.deadline_s = core::RetryPolicy::merge_deadline_s(
       policy.deadline_s,
       deadline.active() ? std::max(deadline.remaining_s(), 1e-3) : 0.0);
@@ -197,10 +200,10 @@ void guarded_exchange(mpi::Comm& comm, int tag, int max_retries,
 void guarded_alltoallv(mpi::Comm& comm, const fft::cplx* send,
                        const std::size_t* scounts, const std::size_t* sdispls,
                        fft::cplx* recv, const std::size_t* rcounts,
-                       const std::size_t* rdispls, int tag, int max_retries,
-                       GuardStats* stats, const core::Deadline& deadline) {
+                       const std::size_t* rdispls, int tag, GuardStats* stats,
+                       const core::Deadline& deadline) {
   guarded_exchange(
-      comm, tag, max_retries, stats, deadline, "guarded alltoallv",
+      comm, tag, stats, deadline, "guarded alltoallv",
       [&](std::size_t p) {
         return fnv1a(send + sdispls[p], scounts[p] * sizeof(fft::cplx));
       },
@@ -216,12 +219,10 @@ void guarded_alltoallv_view(mpi::Comm& comm, const fft::cplx* send_base,
                             std::span<const mpi::SegView> sviews,
                             fft::cplx* recv_base,
                             std::span<const mpi::SegView> rviews, int tag,
-                            int max_retries, GuardStats* stats,
-                            mpi::WireFormat wire,
+                            GuardStats* stats, mpi::WireFormat wire,
                             const core::Deadline& deadline) {
   guarded_exchange(
-      comm, tag, max_retries, stats, deadline,
-      "guarded alltoallv (fused view)",
+      comm, tag, stats, deadline, "guarded alltoallv (fused view)",
       [&](std::size_t p) {
         return fnv1a_view_wire(send_base, sviews[p], wire);
       },

@@ -10,7 +10,7 @@
 // payload exchange every rank verifies what it received.  A global
 // agreement allreduce (Min) decides pass/fail, so either all ranks accept
 // or all ranks retry together -- send buffers are still live and the
-// per-(kind, tag) sequence counters stay aligned.  Bounded retries; on
+// per-(kind, tag) sequence counters stay aligned.  At most 3 retries; on
 // exhaustion a structured core::CommError names the mismatching segment.
 //
 // Both entry points run one retry loop; they differ only in the digest
@@ -50,18 +50,18 @@ struct GuardStats {
 
 /// Alltoallv with end-to-end payload verification and bounded retry (see
 /// file comment).  Collective over `comm`; every rank must pass the same
-/// `tag`, `max_retries`, and `deadline`.  Throws core::CommError when
-/// `max_retries` retries still leave a corrupted segment.  An active
-/// `deadline` tightens the retry loop's wall-clock budget to what remains
-/// of it (merged with FFTX_RETRY_DEADLINE_S, and floored at 1 ms so an
-/// expired budget still runs the first attempt): retries stop -- in
-/// lockstep, via the existing continue/throw agreement -- once the budget
-/// is spent, and backoff sleeps never overshoot it.
+/// `tag` and `deadline`.  Throws core::CommError when 3 retries still
+/// leave a corrupted segment.  An active `deadline` tightens the retry
+/// loop's wall-clock budget to what remains of it (merged with
+/// FFTX_RETRY_DEADLINE_S, and floored at 1 ms so an expired budget still
+/// runs the first attempt): retries stop -- in lockstep, via the existing
+/// continue/throw agreement -- once the budget is spent, and backoff
+/// sleeps never overshoot it.
 void guarded_alltoallv(mpi::Comm& comm, const fft::cplx* send,
                        const std::size_t* scounts, const std::size_t* sdispls,
                        fft::cplx* recv, const std::size_t* rcounts,
-                       const std::size_t* rdispls, int tag, int max_retries,
-                       GuardStats* stats, const core::Deadline& deadline = {});
+                       const std::size_t* rdispls, int tag, GuardStats* stats,
+                       const core::Deadline& deadline = {});
 
 /// Scatter-gather form of guarded_alltoallv for the fused (zero-copy)
 /// transpose layouts: per-peer segments are mpi::SegView run lists over the
@@ -83,7 +83,7 @@ void guarded_alltoallv_view(mpi::Comm& comm, const fft::cplx* send_base,
                             std::span<const mpi::SegView> sviews,
                             fft::cplx* recv_base,
                             std::span<const mpi::SegView> rviews, int tag,
-                            int max_retries, GuardStats* stats,
+                            GuardStats* stats,
                             mpi::WireFormat wire = mpi::WireFormat::Fp64,
                             const core::Deadline& deadline = {});
 

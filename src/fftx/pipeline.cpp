@@ -275,7 +275,7 @@ BandFftPipeline::BandFftPipeline(mpi::Comm world,
 
   if (cfg_.mode != PipelineMode::Original) {
     FX_CHECK(cfg_.nthreads >= 1, "task modes need at least one worker");
-    rt_ = std::make_unique<task::TaskRuntime>(cfg_.nthreads, cfg_.policy);
+    rt_ = std::make_unique<task::TaskRuntime>(cfg_.nthreads);
     if (tracer_ != nullptr) rt_->set_tracer(tracer_, w_);
   }
 
@@ -386,15 +386,13 @@ void BandFftPipeline::transpose(const Transpose& t, int tag) {
   mpi::Comm& comm = *t.comm;
   if (fused_ && cfg_.guard_exchanges) {
     guarded_alltoallv_view(comm, t.send, t.sviews, t.recv, t.rviews, tag,
-                           cfg_.guard_max_retries, &guard_stats_,
-                           cfg_.wire_format, cfg_.deadline);
+                           &guard_stats_, cfg_.wire_format, cfg_.deadline);
   } else if (fused_) {
     comm.alltoallv_view(t.send, t.sviews, t.recv, t.rviews, sizeof(cplx), tag,
                         cfg_.wire_format);
   } else if (cfg_.guard_exchanges) {
     guarded_alltoallv(comm, t.send, t.scounts, t.sdispls, t.recv, t.rcounts,
-                      t.rdispls, tag, cfg_.guard_max_retries, &guard_stats_,
-                      cfg_.deadline);
+                      t.rdispls, tag, &guard_stats_, cfg_.deadline);
   } else {
     comm.alltoallv(t.send, t.scounts, t.sdispls, t.recv, t.rcounts, t.rdispls,
                    tag);
@@ -715,6 +713,13 @@ void BandFftPipeline::do_psi_prep(WorkBuffers& wb, int iter) {
   flip(wb.pencil.data(), wb.pencil.size());
 }
 
+namespace {
+// taskloop grain sizes: the paper's 200 sticks per cft_2z chunk and 10
+// planes per cft_2xy chunk (bench_ablation_grain sweeps them in the model).
+constexpr std::size_t kGrainZ = 200;
+constexpr std::size_t kGrainXy = 10;
+}  // namespace
+
 void BandFftPipeline::do_fft_z(WorkBuffers& wb, int iter, Direction dir,
                                bool use_taskloop) {
   const std::size_t nst = desc_->nsticks_group(b_);
@@ -734,7 +739,7 @@ void BandFftPipeline::do_fft_z(WorkBuffers& wb, int iter, Direction dir,
                       fft::thread_workspace());
   };
   if (use_taskloop && rt_ != nullptr && nst > 0) {
-    rt_->taskloop("fft_z", 0, nst, cfg_.grain_z, chunk);
+    rt_->taskloop("fft_z", 0, nst, kGrainZ, chunk);
   } else {
     chunk(0, nst);
   }
@@ -766,7 +771,7 @@ void BandFftPipeline::do_fft_xy(WorkBuffers& wb, int iter, Direction dir,
     }
   };
   if (use_taskloop && rt_ != nullptr && npz_b > 0) {
-    rt_->taskloop("fft_xy", 0, npz_b, cfg_.grain_xy, chunk);
+    rt_->taskloop("fft_xy", 0, npz_b, kGrainXy, chunk);
   } else {
     chunk(0, npz_b);
   }

@@ -87,15 +87,9 @@ struct PipelineConfig {
   /// task groups with 8 threads).  Ignored by Original.
   int nthreads = 1;
   bool apply_potential = true;
-  /// taskloop grain sizes; the paper uses 200 for cft_2z and 10 for cft_2xy.
-  std::size_t grain_z = 200;
-  std::size_t grain_xy = 10;
-  task::SchedulerPolicy policy = task::SchedulerPolicy::Fifo;
   /// Route the transpose exchanges through the checksum-guarded Alltoallv
   /// (detects in-flight payload corruption and retries; see guarded.hpp).
   bool guard_exchanges = default_guard_exchanges();
-  /// Retry budget per guarded exchange before a structured failure.
-  int guard_max_retries = 3;
   /// Zero-copy transposes: the band pack/unpack and pencil<->plane
   /// exchanges move scatter-gather views of the FFT buffers directly,
   /// deleting the marshalling (staging) passes.  Bit-identical to the

@@ -297,8 +297,8 @@ void RecoveryDriver::checkpoint(mpi::Comm& comm, const Descriptor& desc,
     if (cfg_.guard_exchanges) {
       guarded_alltoallv(comm, pipe.band(n).data(), scounts.data(),
                         sdispls.data(), gathered.data(), rcounts.data(),
-                        rdispls.data(), kCheckpointTag,
-                        cfg_.guard_max_retries, nullptr, cfg_.deadline);
+                        rdispls.data(), kCheckpointTag, nullptr,
+                        cfg_.deadline);
     } else {
       comm.alltoallv(pipe.band(n).data(), scounts.data(), sdispls.data(),
                      gathered.data(), rcounts.data(), rdispls.data(),

@@ -175,21 +175,24 @@ ServeConfig ServeConfig::from_env() {
   return cfg;
 }
 
-DegradeEffect apply_degrade_level(int level, mpi::WireFormat requested) {
+DegradeEffect apply_degrade_level(int level, mpi::WireFormat requested,
+                                  int stream_depth, int checkpoint_bands) {
   DegradeEffect e{requested, -1, 0, {}};
+  auto name = [&e](const char* step) {
+    if (!e.note.empty()) e.note += ", ";
+    e.note += step;
+  };
   if (level >= 1 && requested == mpi::WireFormat::Fp64) {
     e.wire = mpi::WireFormat::Fp32;
-    e.note = "wire fp64->fp32";
+    name("wire fp64->fp32");
   }
-  if (level >= 2) {
+  if (level >= 2 && stream_depth > 1) {
     e.stream_bands = 1;  // fold the streaming ring: one band in flight
-    if (!e.note.empty()) e.note += ", ";
-    e.note += "stream depth->1";
+    name("stream depth->1");
   }
-  if (level >= 3) {
+  if (level >= 3 && checkpoint_bands != 0) {
     e.checkpoint_bands = 0;
-    if (!e.note.empty()) e.note += ", ";
-    e.note += "checkpoint cadence->end-of-run";
+    name("checkpoint cadence->end-of-run");
   }
   if (level > 0 && e.note.empty()) e.note = "no applicable step";
   return e;
@@ -509,7 +512,11 @@ std::shared_ptr<Frontend::Order> Frontend::schedule_locked(int world_size) {
   // Degradation ladder: pressure- and capacity-driven, declared per group.
   o->degrade_level = choose_degrade_level(fill_at_dispatch, post_shrink_,
                                           cfg_.degrade_watermark);
-  DegradeEffect eff = apply_degrade_level(o->degrade_level, o->wire_requested);
+  const fftx::PipelineConfig& pcfg = cfg_.pipeline;
+  DegradeEffect eff = apply_degrade_level(
+      o->degrade_level, o->wire_requested,
+      pcfg.mode == fftx::PipelineMode::Streaming ? pcfg.stream_bands : 1,
+      cfg_.recovery.checkpoint_bands);
   o->wire = eff.wire;
   o->checkpoint_bands = eff.checkpoint_bands;
   o->stream_bands = eff.stream_bands;

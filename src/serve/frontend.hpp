@@ -36,8 +36,9 @@
 //     scheduler steps executions down a declared ladder: L1 narrows the
 //     wire to fp32, L2 folds the streaming ring to one band in flight
 //     (shedding the extra in-flight band buffers), L3 drops the
-//     checkpoint cadence to end-of-run only.  The applied level is
-//     recorded in the Response (status CompletedDegraded), so callers
+//     checkpoint cadence to end-of-run only.  A rung applies only where
+//     it changes the configured execution.  The applied level and steps
+//     are recorded in the Response (status CompletedDegraded), so callers
 //     know what they got.
 //
 // Compatible requests coalesce into one shared execution: same cell,
@@ -183,9 +184,13 @@ struct ServeConfig {
   static ServeConfig from_env();
 };
 
-/// The declared degradation ladder, as one pure step: given a level,
-/// rewrite the execution parameters and describe the change.  Level 0 is
-/// identity.  Exposed for unit tests.
+/// The declared degradation ladder, as one pure step: given a level and
+/// the group's configured execution -- its stream depth (1 unless the
+/// schedule is Streaming) and checkpoint cadence (0 = end of run) --
+/// rewrite the execution parameters and describe the change.  A step is
+/// applied and named only when it changes its value; a level whose steps
+/// all change nothing reads "no applicable step".  Level 0 is identity.
+/// Exposed for unit tests.
 struct DegradeEffect {
   mpi::WireFormat wire;
   int checkpoint_bands;  ///< -1 = keep configured value
@@ -193,7 +198,9 @@ struct DegradeEffect {
   std::string note;
 };
 [[nodiscard]] DegradeEffect apply_degrade_level(int level,
-                                                mpi::WireFormat requested);
+                                                mpi::WireFormat requested,
+                                                int stream_depth,
+                                                int checkpoint_bands);
 
 /// Ladder level for the observed pressure: 0 below the watermark, then one
 /// step per half of the remaining fill range; +1 (capped at 3) when the

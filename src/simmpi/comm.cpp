@@ -418,145 +418,25 @@ void Comm::allreduce_bytes(const void* send, void* recv, std::size_t count,
         o.scalar[r] = bytes;
         o.combine = combine;
         o.count = count;
-        o.elem_size = elem_size;
       },
       [&](OpState& o) {
         // Last arriver reduces while every peer is still blocked, so all
-        // send buffers are stable.
+        // send buffers are stable.  Every rank's size is checked before
+        // the first copy: the accumulator is filled from rank 0's buffer
+        // and each rank copies its own size back out of it.
+        for (int p = 0; p < ctx_->size; ++p) {
+          check_peer_bytes("allreduce", *ctx_, rank_, p, tag, bytes,
+                           o.scalar[static_cast<std::size_t>(p)]);
+        }
         o.acc.resize(bytes);
         std::memcpy(o.acc.data(), o.send[0], bytes);
         for (int p = 1; p < ctx_->size; ++p) {
-          check_peer_bytes("allreduce", *ctx_, rank_, p, tag, bytes,
-                           o.scalar[static_cast<std::size_t>(p)]);
           o.combine(o.acc.data(), o.send[static_cast<std::size_t>(p)],
                     o.count);
         }
       });
   std::memcpy(recv, op->acc.data(), bytes);
   detail::inject_corrupt(*ctx_, rank_, CommOpKind::Allreduce, recv, bytes);
-  op.leave();
-}
-
-void Comm::allgather_bytes(const void* send, std::size_t bytes, void* recv,
-                           int tag) {
-  EventScope ev(*rank_state_, CommOpKind::Allgather, id(), size(), tag,
-                bytes * static_cast<std::size_t>(size() - 1));
-  detail::inject(*ctx_, rank_, CommOpKind::Allgather);
-  const OpKey key{static_cast<int>(CommOpKind::Allgather), tag,
-                  rank_state_->next_seq(
-                      static_cast<int>(CommOpKind::Allgather), tag)};
-  const std::size_t r = static_cast<std::size_t>(rank_);
-  auto op = detail::enter_collective(
-      *ctx_, key, rank_,
-      [&](OpState& o) {
-        o.send[r] = send;
-        o.scalar[r] = bytes;
-      },
-      [&](OpState&) {});
-  auto* out = static_cast<char*>(recv);
-  for (int p = 0; p < size(); ++p) {
-    const auto pu = static_cast<std::size_t>(p);
-    check_peer_bytes("allgather", *ctx_, rank_, p, tag, bytes,
-                     op->scalar[pu]);
-    std::memcpy(out + pu * bytes, op->send[pu], bytes);
-  }
-  detail::inject_corrupt(*ctx_, rank_, CommOpKind::Allgather, recv,
-                         bytes * static_cast<std::size_t>(size()));
-  op.leave();
-}
-
-void Comm::gather_bytes(const void* send, std::size_t bytes, void* recv,
-                        int root, int tag) {
-  FX_CHECK(root >= 0 && root < size());
-  EventScope ev(*rank_state_, CommOpKind::Gather, id(), size(), tag,
-                rank_ == root ? 0 : bytes);
-  detail::inject(*ctx_, rank_, CommOpKind::Gather);
-  const OpKey key{static_cast<int>(CommOpKind::Gather), tag,
-                  rank_state_->next_seq(static_cast<int>(CommOpKind::Gather),
-                                        tag)};
-  const std::size_t r = static_cast<std::size_t>(rank_);
-  auto op = detail::enter_collective(
-      *ctx_, key, rank_,
-      [&](OpState& o) {
-        o.send[r] = send;
-        o.scalar[r] = bytes;
-      },
-      [&](OpState&) {});
-  if (rank_ == root) {
-    auto* out = static_cast<char*>(recv);
-    for (int p = 0; p < size(); ++p) {
-      const auto pu = static_cast<std::size_t>(p);
-      check_peer_bytes("gather", *ctx_, rank_, p, tag, bytes, op->scalar[pu]);
-      std::memcpy(out + pu * bytes, op->send[pu], bytes);
-    }
-    detail::inject_corrupt(*ctx_, rank_, CommOpKind::Gather, recv,
-                           bytes * static_cast<std::size_t>(size()));
-  }
-  op.leave();
-}
-
-void Comm::scatter_bytes(const void* send, std::size_t bytes, void* recv,
-                         int root, int tag) {
-  FX_CHECK(root >= 0 && root < size());
-  EventScope ev(*rank_state_, CommOpKind::Scatter, id(), size(), tag,
-                rank_ == root ? bytes * static_cast<std::size_t>(size() - 1)
-                              : 0);
-  detail::inject(*ctx_, rank_, CommOpKind::Scatter);
-  const OpKey key{static_cast<int>(CommOpKind::Scatter), tag,
-                  rank_state_->next_seq(static_cast<int>(CommOpKind::Scatter),
-                                        tag)};
-  const std::size_t r = static_cast<std::size_t>(rank_);
-  auto op = detail::enter_collective(
-      *ctx_, key, rank_,
-      [&](OpState& o) {
-        o.send[r] = send;  // only the root's pointer is read
-        o.scalar[r] = bytes;
-      },
-      [&](OpState&) {});
-  check_peer_bytes("scatter", *ctx_, rank_, root, tag, bytes,
-                   op->scalar[static_cast<std::size_t>(root)]);
-  const auto* in =
-      static_cast<const char*>(op->send[static_cast<std::size_t>(root)]);
-  std::memcpy(recv, in + r * bytes, bytes);
-  detail::inject_corrupt(*ctx_, rank_, CommOpKind::Scatter, recv, bytes);
-  op.leave();
-}
-
-void Comm::reduce_bytes(const void* send, void* recv, std::size_t count,
-                        std::size_t elem_size,
-                        void (*combine)(void*, const void*, std::size_t),
-                        int root, int tag) {
-  FX_CHECK(root >= 0 && root < size());
-  const std::size_t bytes = count * elem_size;
-  EventScope ev(*rank_state_, CommOpKind::Reduce, id(), size(), tag,
-                rank_ == root ? 0 : bytes);
-  detail::inject(*ctx_, rank_, CommOpKind::Reduce);
-  const OpKey key{static_cast<int>(CommOpKind::Reduce), tag,
-                  rank_state_->next_seq(static_cast<int>(CommOpKind::Reduce),
-                                        tag)};
-  const std::size_t r = static_cast<std::size_t>(rank_);
-  auto op = detail::enter_collective(
-      *ctx_, key, rank_,
-      [&](OpState& o) {
-        o.send[r] = send;
-        o.scalar[r] = bytes;
-        o.combine = combine;
-        o.count = count;
-      },
-      [&](OpState& o) {
-        o.acc.resize(bytes);
-        std::memcpy(o.acc.data(), o.send[0], bytes);
-        for (int p = 1; p < ctx_->size; ++p) {
-          check_peer_bytes("reduce", *ctx_, rank_, p, tag, bytes,
-                           o.scalar[static_cast<std::size_t>(p)]);
-          o.combine(o.acc.data(), o.send[static_cast<std::size_t>(p)],
-                    o.count);
-        }
-      });
-  if (rank_ == root) {
-    std::memcpy(recv, op->acc.data(), bytes);
-    detail::inject_corrupt(*ctx_, rank_, CommOpKind::Reduce, recv, bytes);
-  }
   op.leave();
 }
 
@@ -754,95 +634,6 @@ bool Comm::is_revoked() const {
 int Comm::num_dead() const {
   std::lock_guard lock(ctx_->mu);
   return ctx_->ndead;
-}
-
-void Comm::send_bytes(int dst, const void* data, std::size_t bytes, int tag) {
-  FX_CHECK(dst >= 0 && dst < size());
-  EventScope ev(*rank_state_, CommOpKind::Send, id(), size(), tag, bytes);
-  detail::inject(*ctx_, rank_, CommOpKind::Send);
-  const detail::P2pKey key{rank_, dst, tag};
-  {
-    std::lock_guard lock(ctx_->mu);
-    detail::check_alive_locked(*ctx_);
-    // Posted receives match first (there is never both a posted receive and
-    // a queued message for one key); otherwise buffer the payload.
-    auto posted_it = ctx_->posted.find(key);
-    if (posted_it != ctx_->posted.end() && !posted_it->second.empty()) {
-      detail::PendingRecv pending = std::move(posted_it->second.front());
-      posted_it->second.pop_front();
-      if (pending.bytes != bytes) {
-        throw core::CommError(core::cat(
-            "recv size does not match matching send on comm ", id(), " (tag ",
-            tag, "): rank ", dst, " posted a ", pending.bytes,
-            " B receive but rank ", rank_, " sent ", bytes, " B"));
-      }
-      std::memcpy(pending.data, data, bytes);
-      detail::inject_corrupt(*ctx_, dst, CommOpKind::Recv, pending.data,
-                             bytes);
-      pending.state->done = true;
-      detail::note_progress(*ctx_);  // the receiver's operation completed
-    } else {
-      const auto* bytes_ptr = static_cast<const char*>(data);
-      ctx_->mail[key].emplace_back(bytes_ptr, bytes_ptr + bytes);
-    }
-    ctx_->cv.notify_all();
-  }
-  detail::note_progress(*ctx_);
-}
-
-Request Comm::isend_bytes(int dst, const void* data, std::size_t bytes,
-                          int tag) {
-  // Buffered semantics: the payload is captured here, so the operation is
-  // already complete from the sender's point of view.
-  send_bytes(dst, data, bytes, tag);
-  return Request{};
-}
-
-Request Comm::post_recv(int src, void* data, std::size_t bytes, int tag) {
-  FX_CHECK(src >= 0 && src < size());
-  const detail::P2pKey key{src, rank_, tag};
-  auto state = std::make_shared<detail::RequestState>();
-  state->ctx = ctx_;
-  state->src = src;
-  state->comm_rank = rank_;
-  state->tag = tag;
-  bool matched = false;
-  {
-    std::lock_guard lock(ctx_->mu);
-    detail::check_alive_locked(*ctx_);
-    auto& queue = ctx_->mail[key];
-    if (!queue.empty()) {
-      if (queue.front().size() != bytes) {
-        throw core::CommError(core::cat(
-            "recv size does not match matching send on comm ", id(), " (tag ",
-            tag, "): rank ", rank_, " expects ", bytes, " B but rank ", src,
-            " sent ", queue.front().size(), " B"));
-      }
-      std::memcpy(data, queue.front().data(), bytes);
-      detail::inject_corrupt(*ctx_, rank_, CommOpKind::Recv, data, bytes);
-      queue.pop_front();
-      state->done = true;
-      matched = true;
-    } else {
-      ctx_->posted[key].push_back(detail::PendingRecv{data, bytes, state});
-    }
-  }
-  if (matched) detail::note_progress(*ctx_);
-  return Request{state};
-}
-
-Request Comm::irecv_bytes(int src, void* data, std::size_t bytes, int tag) {
-  EventScope ev(*rank_state_, CommOpKind::Recv, id(), size(), tag, bytes);
-  detail::inject(*ctx_, rank_, CommOpKind::Recv);
-  return post_recv(src, data, bytes, tag);
-}
-
-void Comm::recv_bytes(int src, void* data, std::size_t bytes, int tag) {
-  EventScope ev(*rank_state_, CommOpKind::Recv, id(), size(), tag, bytes);
-  detail::inject(*ctx_, rank_, CommOpKind::Recv);
-  // A blocking receive is a posted receive awaited immediately; routing it
-  // through the same path keeps one matching order for both flavors.
-  post_recv(src, data, bytes, tag).wait();
 }
 
 // --- All-to-all exchanges (one engine: post, then waiter-driven progress) ---
@@ -1475,29 +1266,11 @@ void Comm::alltoallv_view(const void* send_base,
 }
 
 void Request::wait() {
-  if (!state_) return;
-  if (state_->op) {
-    complete_nb(*state_, /*blocking=*/true);
-    return;
-  }
-  auto& ctx = *state_->ctx;
-  std::unique_lock lock(ctx.mu);
-  if (state_->done) return;
-  detail::check_alive_locked(ctx);
-  ProgressBoard::Scope blocked(
-      ctx.board.get(),
-      detail::blocked_info(ctx, state_->comm_rank, CommOpKind::Recv,
-                           state_->tag, 0));
-  ctx.cv.wait(lock, [&] { return state_->done || ctx.aborted; });
-  if (!state_->done) detail::check_alive_locked(ctx);
+  if (state_) complete_nb(*state_, /*blocking=*/true);
 }
 
 bool Request::test() const {
-  if (!state_) return true;
-  if (state_->op) return complete_nb(*state_, /*blocking=*/false);
-  std::lock_guard lock(state_->ctx->mu);
-  if (!state_->done) detail::check_alive_locked(*state_->ctx);
-  return state_->done;
+  return !state_ || complete_nb(*state_, /*blocking=*/false);
 }
 
 }  // namespace fx::mpi

@@ -34,26 +34,37 @@ namespace fx::mpi {
 /// Reduction operators for allreduce.
 enum class ReduceOp { Sum, Max, Min };
 
-/// Collective/point-to-point kinds, reported to observers and recorded in
-/// traces (the Fig 3 "MPI call" timeline colors by this).
+/// Communication kinds, reported to observers and recorded in traces (the
+/// Fig 3 "MPI call" timeline colors by this).  "No producer" marks
+/// operations the communicator no longer offers; they keep their slots so
+/// the values after them stay put and saved traces still decode.
 enum class CommOpKind {
   Barrier,
   Bcast,
   Allreduce,
-  Allgather,
+  Allgather,  ///< no producer
   Alltoall,
   Alltoallv,
   Split,
-  Send,
-  Recv,
-  Gather,
-  Scatter,
-  Reduce,
-  // Appended (not inserted): the integer values above are serialized in
-  // traces and matched by FFTX_FAULT_KIND, so they must stay stable.
+  Send,     ///< no producer
+  Recv,     ///< no producer
+  Gather,   ///< no producer
+  Scatter,  ///< no producer
+  Reduce,   ///< no producer
+  // Appended (not inserted), so the values above stay stable.
   Ialltoall,
   Ialltoallv,
 };
+
+// The integers are an external format: FFTX_FAULT_KIND selects a kind by
+// value (CI stalls kind 5), the fault-plan parser accepts 0..13, and
+// .fxtrace files store them.  Renumbering breaks all three.
+static_assert(static_cast<int>(CommOpKind::Allreduce) == 2);
+static_assert(static_cast<int>(CommOpKind::Alltoall) == 4);
+static_assert(static_cast<int>(CommOpKind::Alltoallv) == 5);
+static_assert(static_cast<int>(CommOpKind::Split) == 6);
+static_assert(static_cast<int>(CommOpKind::Ialltoall) == 12);
+static_assert(static_cast<int>(CommOpKind::Ialltoallv) == 13);
 
 /// Human-readable name, e.g. "Alltoallv".
 const char* to_string(CommOpKind kind);
@@ -64,7 +75,7 @@ struct CommEvent {
   int comm_id;       ///< unique id of the communicator (trace timeline)
   int comm_size;
   int tag;
-  std::size_t bytes; ///< payload bytes this rank sent (or received for Recv)
+  std::size_t bytes; ///< payload bytes this rank sent
   double t_begin;    ///< wall-clock seconds (core::WallTimer::now())
   double t_end;
 };
@@ -101,8 +112,9 @@ struct RankState;
 struct RequestState;
 }  // namespace detail
 
-/// Handle to a nonblocking operation.  Default-constructed requests are
-/// complete.  Copyable; all copies refer to the same operation.
+/// Handle to a posted all-to-all exchange (see "Nonblocking collectives"
+/// below).  Default-constructed requests are complete.  Copyable; all
+/// copies refer to the same operation.
 class Request {
  public:
   Request() = default;
@@ -137,29 +149,11 @@ class Comm {
   void bcast_bytes(void* data, std::size_t bytes, int root, int tag = 0);
 
   /// Element-wise reduction of `count` elements of type T over all ranks;
-  /// every rank receives the result.  send and recv may alias.
+  /// every rank receives the result.  send and recv may alias.  Every rank
+  /// must pass the same count (checked).
   template <typename T>
   void allreduce(const T* send, T* recv, std::size_t count, ReduceOp op,
                  int tag = 0);
-
-  /// Gathers each rank's `bytes`-byte block; rank r's block lands at offset
-  /// r*bytes of every rank's recv buffer.
-  void allgather_bytes(const void* send, std::size_t bytes, void* recv,
-                       int tag = 0);
-
-  /// Rooted gather: blocks land at the root only (recv ignored elsewhere).
-  void gather_bytes(const void* send, std::size_t bytes, void* recv, int root,
-                    int tag = 0);
-
-  /// Rooted scatter: the root's buffer holds size() blocks of `bytes`;
-  /// rank r receives block r.
-  void scatter_bytes(const void* send, std::size_t bytes, void* recv,
-                     int root, int tag = 0);
-
-  /// Rooted element-wise reduction; only the root's recv is written.
-  template <typename T>
-  void reduce(const T* send, T* recv, std::size_t count, ReduceOp op,
-              int root, int tag = 0);
 
   // --- All-to-all exchanges ---
   //
@@ -287,20 +281,6 @@ class Comm {
   /// Ranks declared dead so far.
   [[nodiscard]] int num_dead() const;
 
-  // --- Point-to-point (buffered send; matching by (src, dst, tag)) ---
-
-  void send_bytes(int dst, const void* data, std::size_t bytes, int tag = 0);
-  void recv_bytes(int src, void* data, std::size_t bytes, int tag = 0);
-
-  /// Nonblocking buffered send: the payload is captured at the call, so
-  /// the request is complete immediately (returned for symmetry).
-  Request isend_bytes(int dst, const void* data, std::size_t bytes,
-                      int tag = 0);
-  /// Nonblocking receive: posts the destination buffer; the request
-  /// completes when a matching message is (or becomes) available.  The
-  /// buffer must stay valid until wait()/test() reports completion.
-  Request irecv_bytes(int src, void* data, std::size_t bytes, int tag = 0);
-
   // --- Typed convenience wrappers ---
 
   template <typename T>
@@ -319,15 +299,6 @@ class Comm {
                  int tag = 0) {
     alltoallv_bytes(send, scounts, sdispls, recv, rcounts, rdispls, sizeof(T),
                     tag);
-  }
-
-  template <typename T>
-  void send(int dst, std::span<const T> data, int tag = 0) {
-    send_bytes(dst, data.data(), data.size_bytes(), tag);
-  }
-  template <typename T>
-  void recv(int src, std::span<T> data, int tag = 0) {
-    recv_bytes(src, data.data(), data.size_bytes(), tag);
   }
 
   // --- Instrumentation ---
@@ -360,11 +331,6 @@ class Comm {
                        std::size_t elem_size,
                        void (*combine)(void*, const void*, std::size_t),
                        int tag);
-  void reduce_bytes(const void* send, void* recv, std::size_t count,
-                    std::size_t elem_size,
-                    void (*combine)(void*, const void*, std::size_t), int root,
-                    int tag);
-  Request post_recv(int src, void* data, std::size_t bytes, int tag);
   Request post_nb_exchange(CommOpKind kind, const void* send_base,
                            std::span<const SegView> sviews, void* recv_base,
                            std::span<const SegView> rviews,
@@ -418,13 +384,6 @@ void Comm::allreduce(const T* send, T* recv, std::size_t count, ReduceOp op,
                      int tag) {
   allreduce_bytes(send, recv, count, sizeof(T), detail::combine_for<T>(op),
                   tag);
-}
-
-template <typename T>
-void Comm::reduce(const T* send, T* recv, std::size_t count, ReduceOp op,
-                  int root, int tag) {
-  reduce_bytes(send, recv, count, sizeof(T), detail::combine_for<T>(op), root,
-               tag);
 }
 
 }  // namespace fx::mpi

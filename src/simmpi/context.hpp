@@ -2,17 +2,16 @@
 // public API; include only from src/simmpi/*.cpp).
 //
 // A CommContext is the rank-shared half of a communicator: the collective
-// matching table, the point-to-point mailbox, and -- since the hardening
-// subsystem -- the world-shared failure machinery: a poison flag + reason
-// (set when any rank dies, so every blocked or future operation unwinds
-// with the originating rank's error instead of hanging), the fault
-// injector, the watchdog progress board, and the collective-matching
-// validator switch.  Children created by split() inherit all of it.
+// matching table and -- since the hardening subsystem -- the world-shared
+// failure machinery: a poison flag + reason (set when any rank dies, so
+// every blocked or future operation unwinds with the originating rank's
+// error instead of hanging), the fault injector, the watchdog progress
+// board, and the collective-matching validator switch.  Children created
+// by split() inherit all of it.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,7 +39,6 @@ struct OpKey {
 struct OpState {
   explicit OpState(int size)
       : send(static_cast<std::size_t>(size), nullptr),
-        recv(static_cast<std::size_t>(size), nullptr),
         scalar(static_cast<std::size_t>(size), 0),
         scalar2(static_cast<std::size_t>(size), 0),
         child_ctx(static_cast<std::size_t>(size)),
@@ -52,7 +50,6 @@ struct OpState {
   std::vector<int> arrived_ranks;  ///< local ranks, arrival order (diagnostics)
 
   std::vector<const void*> send;
-  std::vector<void*> recv;
   std::vector<std::size_t> scalar;   // per-rank scalar (bytes/color/elem)
   std::vector<std::size_t> scalar2;  // second scalar (key/wire format)
 
@@ -60,7 +57,6 @@ struct OpState {
   std::vector<char> acc;
   void (*combine)(void*, const void*, std::size_t) = nullptr;
   std::size_t count = 0;
-  std::size_t elem_size = 0;
 
   // Split results:
   std::vector<std::shared_ptr<class CommContext>> child_ctx;
@@ -95,19 +91,10 @@ struct OpState {
   std::string failed;  ///< metadata-mismatch poison (empty = healthy)
 };
 
-struct P2pKey {
-  int src;
-  int dst;
-  int tag;
-  auto operator<=>(const P2pKey&) const = default;
-};
-
-/// Completion flag of a nonblocking operation, synchronized through the
-/// owning communicator's mutex/condvar.  src/tag/comm_rank identify the
-/// operation for watchdog diagnostics.
-///
-/// For all-to-all exchanges (op != nullptr) the state additionally
-/// carries this rank's receive-side view (copied at post time, also
+/// One rank's half of a posted all-to-all exchange, synchronized through
+/// the owning communicator's mutex/condvar: the completion flag, the
+/// operation's identity (tag/comm_rank/key also name it in watchdog
+/// diagnostics), this rank's receive-side view (copied at post time, also
 /// registered in the OpState, from which whichever endpoint claims a
 /// transfer reads both sides) and the finalization flag `pulled`
 /// (corruption injection + completion accounting run once per request).
@@ -122,14 +109,11 @@ struct RequestState {
 
   std::shared_ptr<class CommContext> ctx;
   bool done = false;
-  int src = -1;
-  int comm_rank = -1;  ///< the posting (receiving) rank
+  int comm_rank = -1;  ///< the posting rank
   int tag = 0;
-
-  // --- All-to-all exchange fields (unused for point-to-point) ---
-  std::shared_ptr<OpState> op;
+  std::shared_ptr<OpState> op;  ///< null until the post registered
   OpKey key{};
-  CommOpKind kind = CommOpKind::Recv;
+  CommOpKind kind = CommOpKind::Ialltoallv;
   void* recv_base = nullptr;
   std::size_t elem_size = 0;
   std::vector<SegRun> rruns;        ///< recv runs, concatenated per peer
@@ -138,13 +122,6 @@ struct RequestState {
   double t_post = 0.0;  ///< post entry, before the fault hook (event/metrics)
   std::size_t bytes = 0;            ///< payload bytes this rank sends
   std::shared_ptr<struct RankState> rank_state;  ///< event emission at wait
-};
-
-/// A posted (not yet matched) nonblocking receive.
-struct PendingRecv {
-  void* data;
-  std::size_t bytes;
-  std::shared_ptr<RequestState> state;
 };
 
 /// Rendezvous state of one repair collective (Comm::shrink / Comm::agree).
@@ -212,8 +189,6 @@ class CommContext {
   std::uint64_t bar_gen = 0;
 
   std::map<OpKey, std::shared_ptr<OpState>> ops;
-  std::map<P2pKey, std::deque<std::vector<char>>> mail;
-  std::map<P2pKey, std::deque<PendingRecv>> posted;
   std::vector<std::weak_ptr<CommContext>> children;
 
   // --- Hardening state, shared by the whole world (null/default when the
@@ -228,12 +203,6 @@ class CommContext {
  private:
   void poison_impl(const std::string& reason, bool as_revoke) {
     std::vector<std::shared_ptr<CommContext>> kids;
-    // Receives still posted can never match now (every send checks the
-    // poison first), and each one's RequestState holds this context: left
-    // in place, an abandoned entry and the context keep each other alive.
-    // They are destroyed after unlocking -- an entry may hold the last
-    // reference to this context -- and after the last member access.
-    std::map<P2pKey, std::deque<PendingRecv>> unmatched;
     {
       std::lock_guard lock(mu);
       if (!aborted) {
@@ -241,7 +210,6 @@ class CommContext {
         poison_reason = reason;
       }
       if (as_revoke) revoked = true;
-      unmatched.swap(posted);
       // A shrink child is deliberately NOT in `children` (it must outlive
       // its revoked parent), so this recursion can never poison a repaired
       // communicator -- only ordinary split() offspring.

@@ -28,7 +28,6 @@ struct TaskNode {
   std::function<void()> fn;
   std::function<bool(bool)> poll;  ///< waitable tasks; empty otherwise
   int pending = 0;      ///< unfinished predecessor count
-  int priority = 0;     ///< scheduling hint (Priority policy only)
   bool finished = false;
   double t_ready = -1.0;         ///< queue-wait stamp; < 0 once reported
   std::uint64_t submit_seq = 0;  ///< submission order, for blocking escalation
@@ -67,8 +66,7 @@ core::Histogram& queue_depth_metric() {
 }
 }  // namespace
 
-TaskRuntime::TaskRuntime(int nthreads, SchedulerPolicy policy)
-    : nthreads_(nthreads), policy_(policy) {
+TaskRuntime::TaskRuntime(int nthreads) : nthreads_(nthreads) {
   FX_CHECK(nthreads >= 1, "task runtime needs at least one worker");
   workers_.reserve(static_cast<std::size_t>(nthreads));
   for (int w = 0; w < nthreads; ++w) {
@@ -159,36 +157,24 @@ void TaskRuntime::link_dependencies_locked(const NodePtr& node,
 }
 
 void TaskRuntime::submit(std::string label, std::vector<Dep> deps,
-                         std::function<void()> fn, int priority) {
+                         std::function<void()> fn) {
   auto node = std::make_shared<TaskNode>();
   node->label = std::move(label);
   node->fn = std::move(fn);
-  node->priority = priority;
-  node->parent = detail::tl_current;
-
-  std::lock_guard lock(mu_);
-  FX_CHECK(!stop_, "submit after TaskRuntime shutdown");
-  node->submit_seq = ++submit_next_;
-  ++outstanding_;
-  link_dependencies_locked(node, deps);
-  if (node->pending == 0) {
-    stamp_ready_locked(node);
-    ready_.push_back(node);
-    queue_depth_metric().record(static_cast<double>(ready_.size()));
-    cv_ready_.notify_one();
-  }
+  enqueue(node, deps);
 }
 
 void TaskRuntime::submit_waitable(std::string label, std::vector<Dep> deps,
-                                  std::function<bool(bool)> poll,
-                                  int priority) {
+                                  std::function<bool(bool)> poll) {
   FX_CHECK(static_cast<bool>(poll), "waitable task needs a poll function");
   auto node = std::make_shared<TaskNode>();
   node->label = std::move(label);
   node->poll = std::move(poll);
-  node->priority = priority;
-  node->parent = detail::tl_current;
+  enqueue(node, deps);
+}
 
+void TaskRuntime::enqueue(const NodePtr& node, const std::vector<Dep>& deps) {
+  node->parent = detail::tl_current;
   std::lock_guard lock(mu_);
   FX_CHECK(!stop_, "submit after TaskRuntime shutdown");
   node->submit_seq = ++submit_next_;
@@ -208,29 +194,8 @@ void TaskRuntime::stamp_ready_locked(const NodePtr& node) {
 
 TaskRuntime::NodePtr TaskRuntime::pop_ready_locked() {
   if (ready_.empty()) return nullptr;
-  NodePtr node;
-  switch (policy_) {
-    case SchedulerPolicy::Fifo: {
-      node = ready_.front();
-      ready_.pop_front();
-      break;
-    }
-    case SchedulerPolicy::Lifo: {
-      node = ready_.back();
-      ready_.pop_back();
-      break;
-    }
-    case SchedulerPolicy::Priority: {
-      // Highest priority wins; FIFO among equals.
-      auto best = ready_.begin();
-      for (auto it = std::next(ready_.begin()); it != ready_.end(); ++it) {
-        if ((*it)->priority > (*best)->priority) best = it;
-      }
-      node = *best;
-      ready_.erase(best);
-      break;
-    }
-  }
+  NodePtr node = std::move(ready_.front());
+  ready_.pop_front();
   return node;
 }
 

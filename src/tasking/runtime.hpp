@@ -6,15 +6,14 @@
 // as their predecessors retire.  Figures 4 and 5 of the paper map onto
 // submit() calls with the corresponding dep lists.
 //
-// Scheduling policy and deadlock freedom
-// --------------------------------------
-// Ready tasks are dispatched FIFO (creation order) by default.  This is not
-// a style choice: pipeline tasks block inside simmpi collectives, and FIFO
-// dispatch guarantees that the globally-oldest unfinished band is started
-// on every rank, so some collective always has all participants and the
-// system cannot deadlock (see tests/tasking and DESIGN.md).  The LIFO
-// policy exists for the scheduler ablation bench and must only be used for
-// non-communicating task graphs.
+// Dispatch order and deadlock freedom
+// -----------------------------------
+// Ready tasks are dispatched FIFO (creation order), and that is the only
+// order.  This is not a style choice: pipeline tasks block inside simmpi
+// collectives, and FIFO dispatch guarantees that the globally-oldest
+// unfinished band is started on every rank, so some collective always has
+// all participants and the system cannot deadlock (see tests/tasking and
+// DESIGN.md).
 //
 // taskloop() submits child tasks of the calling task and blocks until they
 // finish; while blocked, the calling worker executes only its *own*
@@ -79,12 +78,6 @@ Dep inout(std::span<T> s) {
   return {s.data(), s.size_bytes(), DepMode::InOut};
 }
 
-/// Dispatch order of the ready queue (see file comment).  Priority picks
-/// the highest-priority ready task (FIFO among equals, so priority 0
-/// everywhere degenerates to FIFO and keeps the deadlock-freedom argument);
-/// Lifo is for non-communicating graphs only.
-enum class SchedulerPolicy { Fifo, Lifo, Priority };
-
 /// Worker id of the calling thread (0-based), or -1 when called outside a
 /// task worker (e.g. on the orchestrator thread).  Tracing uses this to
 /// attribute compute phases to timeline rows.
@@ -114,8 +107,7 @@ class TaskRuntime {
   /// Spawns `nthreads` workers (>= 1).  The constructing thread is the
   /// orchestrator; it submits tasks and calls taskwait() but does not
   /// execute tasks itself.
-  explicit TaskRuntime(int nthreads,
-                       SchedulerPolicy policy = SchedulerPolicy::Fifo);
+  explicit TaskRuntime(int nthreads);
   ~TaskRuntime();
 
   TaskRuntime(const TaskRuntime&) = delete;
@@ -125,15 +117,13 @@ class TaskRuntime {
 
   /// Submits a task.  Dependencies are evaluated against all previously
   /// submitted tasks' clauses, exactly like OmpSs's dynamic dependency
-  /// graph.  Thread-safe (tasks may submit tasks).  `priority` matters
-  /// only under SchedulerPolicy::Priority (higher runs earlier).
+  /// graph.  Thread-safe (tasks may submit tasks).
   void submit(std::string label, std::vector<Dep> deps,
-              std::function<void()> fn, int priority = 0);
+              std::function<void()> fn);
 
   /// Convenience for dependency-free tasks.
-  void submit(std::string label, std::function<void()> fn,
-              int priority = 0) {
-    submit(std::move(label), {}, std::move(fn), priority);
+  void submit(std::string label, std::function<void()> fn) {
+    submit(std::move(label), {}, std::move(fn));
   }
 
   /// Submits a completion-waitable task: `poll(false)` must make a cheap
@@ -156,8 +146,7 @@ class TaskRuntime {
   /// completion to wake a worker.  Successors release at whichever poll
   /// returns true; a throwing poll completes the task with that error.
   void submit_waitable(std::string label, std::vector<Dep> deps,
-                       std::function<bool(bool last_chance)> poll,
-                       int priority = 0);
+                       std::function<bool(bool last_chance)> poll);
 
   /// Blocks until every task submitted so far (including transitively
   /// spawned ones) has finished.  Rethrows the first task exception,
@@ -183,7 +172,6 @@ class TaskRuntime {
   void set_tracer(trace::Tracer* tracer, int rank);
 
   [[nodiscard]] int num_threads() const { return nthreads_; }
-  [[nodiscard]] SchedulerPolicy policy() const { return policy_; }
 
   /// Total tasks executed and dependency edges created (for tests/benches).
   [[nodiscard]] std::size_t tasks_executed() const;
@@ -197,6 +185,9 @@ class TaskRuntime {
   bool run_waitable(const NodePtr& node, int worker_id, bool last_chance);
   void sweep_parked(int worker_id);
   void finish_task(const NodePtr& node);
+  /// Stamps, links and (when it has no pending predecessor) readies a
+  /// freshly built submit()/submit_waitable() node.
+  void enqueue(const NodePtr& node, const std::vector<Dep>& deps);
   NodePtr pop_ready_locked();
   NodePtr pop_child_of_locked(const detail::TaskNode* parent);
   NodePtr take_oldest_parked_locked();
@@ -205,7 +196,6 @@ class TaskRuntime {
                                 const std::vector<Dep>& deps);
 
   const int nthreads_;
-  const SchedulerPolicy policy_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_ready_;  // workers wait for ready tasks

@@ -78,29 +78,50 @@ TEST(ServeLadder, ChooseLevelFollowsPressureAndShrink) {
 }
 
 TEST(ServeLadder, ApplyLevelStepsWireStreamDepthCheckpoint) {
-  const auto l0 = fx::serve::apply_degrade_level(0, WireFormat::Fp64);
+  // A Streaming schedule at depth 4 with a checkpoint every 8 bands: every
+  // rung has something to change.
+  constexpr int kDepth = 4;
+  constexpr int kCadence = 8;
+  const auto l0 =
+      fx::serve::apply_degrade_level(0, WireFormat::Fp64, kDepth, kCadence);
   EXPECT_EQ(l0.wire, WireFormat::Fp64);
   EXPECT_EQ(l0.checkpoint_bands, -1);
   EXPECT_EQ(l0.stream_bands, 0);
 
-  const auto l1 = fx::serve::apply_degrade_level(1, WireFormat::Fp64);
+  const auto l1 =
+      fx::serve::apply_degrade_level(1, WireFormat::Fp64, kDepth, kCadence);
   EXPECT_EQ(l1.wire, WireFormat::Fp32);
   EXPECT_EQ(l1.stream_bands, 0);  // streaming depth survives L1
 
   // L2 sheds the extra in-flight band buffers.
-  const auto l2 = fx::serve::apply_degrade_level(2, WireFormat::Fp64);
+  const auto l2 =
+      fx::serve::apply_degrade_level(2, WireFormat::Fp64, kDepth, kCadence);
   EXPECT_EQ(l2.wire, WireFormat::Fp32);
   EXPECT_EQ(l2.stream_bands, 1);
   EXPECT_EQ(l2.checkpoint_bands, -1);
   EXPECT_EQ(l2.note, "wire fp64->fp32, stream depth->1");
 
-  const auto l3 = fx::serve::apply_degrade_level(3, WireFormat::Fp64);
+  const auto l3 =
+      fx::serve::apply_degrade_level(3, WireFormat::Fp64, kDepth, kCadence);
   EXPECT_EQ(l3.checkpoint_bands, 0);
   EXPECT_EQ(l3.stream_bands, 1);
 
   // An already-narrow request does not widen or re-narrow.
-  const auto n1 = fx::serve::apply_degrade_level(1, WireFormat::Fp32);
+  const auto n1 =
+      fx::serve::apply_degrade_level(1, WireFormat::Fp32, kDepth, kCadence);
   EXPECT_EQ(n1.wire, WireFormat::Fp32);
+  EXPECT_EQ(n1.note, "no applicable step");
+
+  // The default service execution -- Original schedule (depth 1), cadence
+  // 0 -- has no streaming ring to fold and already checkpoints at the end
+  // of the run: L3 changes, and names, only the wire.
+  const auto orig = fx::serve::apply_degrade_level(3, WireFormat::Fp64,
+                                                   /*stream_depth=*/1,
+                                                   /*checkpoint_bands=*/0);
+  EXPECT_EQ(orig.wire, WireFormat::Fp32);
+  EXPECT_EQ(orig.stream_bands, 0);
+  EXPECT_EQ(orig.checkpoint_bands, -1);
+  EXPECT_EQ(orig.note, "wire fp64->fp32");
 }
 
 // --- Admission control (no world needed) -----------------------------------

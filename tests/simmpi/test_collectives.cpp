@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "simmpi/comm.hpp"
@@ -71,18 +73,6 @@ TEST_P(RankSweep, AllreduceInPlaceAliasing) {
     long v = comm.rank() + 1;
     comm.allreduce(&v, &v, 1, ReduceOp::Sum);
     ASSERT_EQ(v, static_cast<long>(n) * (n + 1) / 2);
-  });
-}
-
-TEST_P(RankSweep, AllgatherCollectsInRankOrder) {
-  const int n = GetParam();
-  Runtime::run(n, [&](Comm& comm) {
-    const int mine = 7 * comm.rank() + 3;
-    std::vector<int> all(static_cast<std::size_t>(n), -1);
-    comm.allgather_bytes(&mine, sizeof(int), all.data());
-    for (int p = 0; p < n; ++p) {
-      ASSERT_EQ(all[static_cast<std::size_t>(p)], 7 * p + 3);
-    }
   });
 }
 
@@ -154,11 +144,17 @@ TEST(Collectives, SizeMismatchAcrossRanksIsDetected) {
   EXPECT_THROW(
       Runtime::run(2,
                    [&](Comm& comm) {
-                     // Rank 0 gathers 4 bytes, rank 1 gathers 8: a bug.
-                     const std::size_t mine =
-                         comm.rank() == 0 ? sizeof(int) : sizeof(long);
-                     std::vector<char> buf(64);
-                     comm.allgather_bytes(buf.data(), mine, buf.data() + 32);
+                     // Rank 0 reduces 1 element, rank 1 reduces 2: a bug.
+                     // Rank 1 arrives last and runs the check, so the check
+                     // must compare rank 0's count too.
+                     const std::size_t mine = comm.rank() == 0 ? 1 : 2;
+                     if (comm.rank() == 1) {
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(20));
+                     }
+                     std::vector<int> buf(64, 1);
+                     comm.allreduce(buf.data(), buf.data() + 32, mine,
+                                    ReduceOp::Sum);
                    }),
       fx::core::Error);
 }

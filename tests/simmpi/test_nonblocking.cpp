@@ -1,9 +1,8 @@
-// Nonblocking point-to-point: completion semantics, posting order,
-// mixing with blocking receives, and the overlap pattern the paper's
-// future work (MPI inside tasks) relies on.  Plus the nonblocking
-// collectives (Ialltoall/Ialltoallv, contiguous and scatter-gather views)
-// behind the pipeline's fused overlapped transposes, including their
-// behavior under fault injection, the watchdog, and revocation.
+// Nonblocking collectives (Ialltoall/Ialltoallv, contiguous and
+// scatter-gather views) behind the pipeline's fused overlapped transposes:
+// completion semantics, posting order, the overlap pattern the paper's
+// future work (MPI inside tasks) relies on, and their behavior under fault
+// injection, the watchdog, and revocation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +10,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,102 +54,6 @@ TEST(Nonblocking, DefaultRequestIsComplete) {
   Request r;
   EXPECT_TRUE(r.test());
   r.wait();  // must not block
-}
-
-TEST(Nonblocking, IsendCompletesImmediately) {
-  Runtime::run(2, [&](Comm& comm) {
-    if (comm.rank() == 0) {
-      const int v = 42;
-      Request r = comm.isend_bytes(1, &v, sizeof(int), 0);
-      EXPECT_TRUE(r.test());
-      r.wait();
-    } else {
-      int v = 0;
-      comm.recv_bytes(0, &v, sizeof(int), 0);
-      EXPECT_EQ(v, 42);
-    }
-  });
-}
-
-TEST(Nonblocking, IrecvBeforeSendCompletesOnArrival) {
-  Runtime::run(2, [&](Comm& comm) {
-    if (comm.rank() == 1) {
-      int v = -1;
-      Request r = comm.irecv_bytes(0, &v, sizeof(int), 7);
-      comm.barrier();  // guarantee the irecv is posted before the send
-      r.wait();
-      EXPECT_EQ(v, 123);
-    } else {
-      comm.barrier();
-      const int v = 123;
-      comm.send_bytes(1, &v, sizeof(int), 7);
-    }
-  });
-}
-
-TEST(Nonblocking, IrecvAfterSendCompletesImmediately) {
-  Runtime::run(2, [&](Comm& comm) {
-    if (comm.rank() == 0) {
-      const double v = 2.5;
-      comm.send_bytes(1, &v, sizeof(double), 0);
-      comm.barrier();
-    } else {
-      comm.barrier();  // message already queued
-      double v = 0.0;
-      Request r = comm.irecv_bytes(0, &v, sizeof(double), 0);
-      EXPECT_TRUE(r.test());
-      EXPECT_DOUBLE_EQ(v, 2.5);
-    }
-  });
-}
-
-TEST(Nonblocking, ManyPostedReceivesMatchInOrder) {
-  Runtime::run(2, [&](Comm& comm) {
-    constexpr int kN = 16;
-    if (comm.rank() == 1) {
-      std::vector<int> out(kN, -1);
-      std::vector<Request> reqs;
-      reqs.reserve(kN);
-      for (int i = 0; i < kN; ++i) {
-        reqs.push_back(
-            comm.irecv_bytes(0, &out[static_cast<std::size_t>(i)],
-                             sizeof(int), 0));
-      }
-      comm.barrier();
-      for (auto& r : reqs) r.wait();
-      for (int i = 0; i < kN; ++i) {
-        EXPECT_EQ(out[static_cast<std::size_t>(i)], 1000 + i);
-      }
-    } else {
-      comm.barrier();
-      for (int i = 0; i < kN; ++i) {
-        const int v = 1000 + i;
-        comm.send_bytes(1, &v, sizeof(int), 0);
-      }
-    }
-  });
-}
-
-TEST(Nonblocking, OverlapComputeWithPendingReceive) {
-  Runtime::run(2, [&](Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<double> payload(1000);
-      std::iota(payload.begin(), payload.end(), 0.0);
-      comm.barrier();
-      comm.send_bytes(1, payload.data(), payload.size() * sizeof(double), 1);
-    } else {
-      std::vector<double> incoming(1000, 0.0);
-      Request r = comm.irecv_bytes(
-          0, incoming.data(), incoming.size() * sizeof(double), 1);
-      comm.barrier();
-      // "Compute" while the transfer is in flight.
-      double acc = 0.0;
-      for (int i = 0; i < 10000; ++i) acc += static_cast<double>(i) * 0.5;
-      EXPECT_GT(acc, 0.0);
-      r.wait();
-      EXPECT_DOUBLE_EQ(incoming[999], 999.0);
-    }
-  });
 }
 
 /// Builds the irregular send/recv buffers of `seg_count`/`seg_value` for
@@ -618,25 +520,6 @@ TEST(NonblockingFaults, AbandonedExchangeFailsPeersInsteadOfCopying) {
         << e.what();
   }
   EXPECT_EQ(recv1[0], -1.0) << "data moved out of an abandoned exchange";
-}
-
-TEST(Nonblocking, SizeMismatchOnPostedReceiveThrows) {
-  EXPECT_THROW(
-      Runtime::run(2,
-                   [&](Comm& comm) {
-                     if (comm.rank() == 1) {
-                       long v = 0;
-                       Request r =
-                           comm.irecv_bytes(0, &v, sizeof(long), 0);
-                       comm.barrier();
-                       r.wait();
-                     } else {
-                       comm.barrier();
-                       const int v = 1;
-                       comm.send_bytes(1, &v, sizeof(int), 0);
-                     }
-                   }),
-      fx::core::Error);
 }
 
 }  // namespace

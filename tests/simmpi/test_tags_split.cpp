@@ -1,5 +1,5 @@
 // Tagged out-of-order collective matching, communicator splitting (the
-// two-layer FFT scheme), point-to-point ordering, and observer events.
+// two-layer FFT scheme), and observer events.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -110,17 +110,20 @@ TEST(Split, TwoLayerFftCommunicators) {
     ASSERT_EQ(pack.size(), kT);
     ASSERT_EQ(pack.rank(), w % kT);
 
-    // Verify membership: allgather world ranks inside the scatter comm and
-    // check the stride-T pattern {group, group+T, ...}.
+    // Verify membership: every member sends its world rank to every peer,
+    // so block i of the exchange holds member i's world rank.  The scatter
+    // comm must show the stride-T pattern {group, group+T, ...}.
+    const std::vector<int> wr(kR, w);
     std::vector<int> members(kR, -1);
-    scatter.allgather_bytes(&w, sizeof(int), members.data());
+    scatter.alltoall(std::span<const int>(wr), std::span<int>(members));
     for (int i = 0; i < kR; ++i) {
       ASSERT_EQ(members[static_cast<std::size_t>(i)], group + i * kT);
     }
 
     // And the pack comm holds T consecutive ranks {b*T .. b*T+T-1}.
+    const std::vector<int> pwr(kT, w);
     std::vector<int> pmembers(kT, -1);
-    pack.allgather_bytes(&w, sizeof(int), pmembers.data());
+    pack.alltoall(std::span<const int>(pwr), std::span<int>(pmembers));
     for (int i = 0; i < kT; ++i) {
       ASSERT_EQ(pmembers[static_cast<std::size_t>(i)], (w / kT) * kT + i);
     }
@@ -150,54 +153,6 @@ TEST(Split, SingletonGroups) {
     EXPECT_EQ(solo.rank(), 0);
     solo.barrier();  // must not hang
   });
-}
-
-TEST(P2p, MessagesArriveInOrderPerTag) {
-  Runtime::run(2, [&](Comm& comm) {
-    if (comm.rank() == 0) {
-      for (int i = 0; i < 20; ++i) {
-        comm.send_bytes(1, &i, sizeof(int), /*tag=*/3);
-      }
-    } else {
-      for (int i = 0; i < 20; ++i) {
-        int v = -1;
-        comm.recv_bytes(0, &v, sizeof(int), /*tag=*/3);
-        ASSERT_EQ(v, i);
-      }
-    }
-  });
-}
-
-TEST(P2p, TagsKeepStreamsSeparate) {
-  Runtime::run(2, [&](Comm& comm) {
-    if (comm.rank() == 0) {
-      const int a = 111;
-      const int b = 222;
-      comm.send_bytes(1, &a, sizeof(int), 1);
-      comm.send_bytes(1, &b, sizeof(int), 2);
-    } else {
-      int b = 0;
-      int a = 0;
-      comm.recv_bytes(0, &b, sizeof(int), 2);  // receive tag 2 first
-      comm.recv_bytes(0, &a, sizeof(int), 1);
-      EXPECT_EQ(a, 111);
-      EXPECT_EQ(b, 222);
-    }
-  });
-}
-
-TEST(P2p, SizeMismatchThrows) {
-  EXPECT_THROW(Runtime::run(2,
-                            [&](Comm& comm) {
-                              if (comm.rank() == 0) {
-                                const long v = 1;
-                                comm.send_bytes(1, &v, sizeof(long), 0);
-                              } else {
-                                int v = 0;
-                                comm.recv_bytes(0, &v, sizeof(int), 0);
-                              }
-                            }),
-               fx::core::Error);
 }
 
 TEST(Observer, EventsCarryKindCommAndBytes) {

@@ -17,7 +17,6 @@ namespace {
 
 using fx::task::Dep;
 using fx::task::DepMode;
-using fx::task::SchedulerPolicy;
 using fx::task::TaskRuntime;
 
 TEST(Deps, FlowDependencyOrdersTasks) {
@@ -212,29 +211,13 @@ TEST(Deps, ObserverSeesStartAndEnd) {
 }
 
 TEST(Deps, FifoPolicyStartsTasksInSubmissionOrder) {
-  TaskRuntime rt(1, SchedulerPolicy::Fifo);  // single worker: strict order
+  TaskRuntime rt(1);  // single worker: strict order
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     rt.submit("t", [&order, i] { order.push_back(i); });
   }
   rt.taskwait();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(Deps, LifoPolicyStartsNewestFirst) {
-  TaskRuntime rt(1, SchedulerPolicy::Lifo);
-  std::vector<int> order;
-  // Block the single worker so all submissions queue up, then observe order.
-  std::atomic<bool> release{false};
-  rt.submit("gate", [&] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  for (int i = 0; i < 5; ++i) {
-    rt.submit("t", [&order, i] { order.push_back(i); });
-  }
-  release.store(true);
-  rt.taskwait();
-  EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 1, 0}));
 }
 
 TEST(Deps, ZeroLengthDepsAreIgnored) {

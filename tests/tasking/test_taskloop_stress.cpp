@@ -17,7 +17,6 @@
 namespace {
 
 using fx::core::Rng;
-using fx::task::SchedulerPolicy;
 using fx::task::TaskRuntime;
 
 TEST(Taskloop, CoversEveryIterationExactlyOnce) {

@@ -2,9 +2,9 @@
 // pinning workers, honor dependency clauses, release successors on the
 // completing attempt, funnel blocking polls through a single slot given to
 // the earliest-submitted parked wait, and surface poll exceptions as
-// TaskError; the Priority policy and
-// dense overlapping-inout graphs stay correct under many workers (this file
-// also runs under TSan in CI).
+// TaskError; dense overlapping-inout graphs and mixed waitable/plain
+// task sets stay correct under many workers (this file also runs under
+// TSan in CI).
 #include "tasking/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 namespace {
 
 using fx::core::TaskError;
-using fx::task::SchedulerPolicy;
 using fx::task::TaskRuntime;
 
 TEST(Waitable, ParksUntilExternalCompletionWithoutPinningWorkers) {
@@ -180,13 +179,13 @@ TEST(Waitable, ManyInFlightWaitablesRetireInChainOrderPerSlot) {
   }
 }
 
-TEST(Scheduler, PriorityPolicyWithDenseOverlappingInoutRanges) {
-  // Many tasks over overlapping windows of one buffer, random priorities:
-  // the dependency graph must serialize every overlapping pair regardless
-  // of what the priority heap does with the ready set.
+TEST(Scheduler, DenseOverlappingInoutRanges) {
+  // Many tasks over overlapping windows of one buffer on four workers: the
+  // dependency graph must serialize every overlapping pair, whichever
+  // worker takes each ready task.
   constexpr int kCells = 64;
   constexpr int kTasks = 200;
-  TaskRuntime rt(4, SchedulerPolicy::Priority);
+  TaskRuntime rt(4);
   std::vector<int> cells(kCells, 0);
   std::vector<int> expected(kCells, 0);
   for (int t = 0; t < kTasks; ++t) {
@@ -200,15 +199,14 @@ TEST(Scheduler, PriorityPolicyWithDenseOverlappingInoutRanges) {
                 // Unsynchronized on purpose: only the dependency graph
                 // orders overlapping windows (TSan verifies).
                 for (int& c : window) ++c;
-              },
-              /*priority=*/t % 5 - 2);
+              });
   }
   rt.taskwait();
   EXPECT_EQ(cells, expected);
 }
 
-TEST(Scheduler, PriorityPolicyRunsWaitablesAndTasksMixed) {
-  TaskRuntime rt(3, SchedulerPolicy::Priority);
+TEST(Scheduler, RunsWaitablesAndTasksMixed) {
+  TaskRuntime rt(3);
   std::atomic<int> done{0};
   for (int i = 0; i < 30; ++i) {
     if (i % 3 == 0) {
@@ -220,11 +218,9 @@ TEST(Scheduler, PriorityPolicyRunsWaitablesAndTasksMixed) {
             if (tries->fetch_add(1) < 1 && !last_chance) return false;
             d->fetch_add(1);
             return true;
-          },
-          /*priority=*/i % 4);
+          });
     } else {
-      rt.submit(
-          "t", [&] { done.fetch_add(1); }, /*priority=*/i % 4);
+      rt.submit("t", [&] { done.fetch_add(1); });
     }
   }
   rt.taskwait();
