@@ -108,6 +108,53 @@ double run_e2e(int nranks, int ntg, fx::fftx::PipelineMode mode, int threads,
   return runtime;
 }
 
+/// 20 %-trimmed mean: the scheduler on an oversubscribed host produces a
+/// few wild outliers per batch that a plain mean would chase and that even
+/// the median wobbles on; trimming both tails keeps the estimate stable
+/// run to run.
+double trimmed_mean(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t k = v.size() / 5;
+  double sum = 0.0;
+  for (std::size_t i = k; i < v.size() - k; ++i) sum += v[i];
+  return sum / static_cast<double>(v.size() - 2 * k);
+}
+
+/// A two-variant A/B by the method every overhead table here uses: `reps`
+/// pairs whose order alternates rep by rep (a fixed order lets a
+/// positional bias -- the first run of a pair landing on a cold scheduler
+/// quantum -- pass for overhead), reduced to trimmed means of each side
+/// and of the per-pair ratios (the two runs of a pair are adjacent in
+/// time, so slow host drift divides out of the ratio).
+struct PairedAb {
+  double base_s = 0.0;
+  double variant_s = 0.0;
+  double overhead_pct = 0.0;
+};
+
+template <typename Base, typename Variant>
+PairedAb paired_ab(int reps, Base&& base, Variant&& variant) {
+  std::vector<double> t_base;
+  std::vector<double> t_variant;
+  std::vector<double> ratio;
+  for (int rep = 0; rep < reps; ++rep) {
+    double t_b = 0.0;
+    double t_v = 0.0;
+    for (int k = 0; k < 2; ++k) {
+      if ((rep + k) % 2 == 0) {
+        t_b = base();
+      } else {
+        t_v = variant();
+      }
+    }
+    t_base.push_back(t_b);
+    t_variant.push_back(t_v);
+    ratio.push_back(t_v / t_b);
+  }
+  return {trimmed_mean(t_base), trimmed_mean(t_variant),
+          (trimmed_mean(ratio) - 1.0) * 100.0};
+}
+
 /// Hardening A/B: the runtime safety net (collective validator + watchdog +
 /// progress board) on vs off, on the same workload.
 void bench_hardening_overhead(fxbench::JsonReport& report) {
@@ -119,7 +166,8 @@ void bench_hardening_overhead(fxbench::JsonReport& report) {
   fx::mpi::RunOptions on;  // defaults: validator on, watchdog on (60 s)
 
   fx::core::TablePrinter t(
-      "Hardening overhead (validator + watchdog on vs off, median of 5)");
+      "Hardening overhead (validator + watchdog on vs off, trimmed mean of "
+      "33 order-rotated paired reps)");
   t.header({"version", "off [s]", "on [s]", "overhead"});
   fx::core::CsvWriter csv("bench/out/hardening_overhead.csv");
   csv.row({"mode", "variant", "seconds", "overhead_pct"});
@@ -135,24 +183,20 @@ void bench_hardening_overhead(fxbench::JsonReport& report) {
       {"original 4 x 2", 8, 2, PipelineMode::Original, 1},
       {"task-per-FFT 4 ranks x 2 thr", 4, 1, PipelineMode::TaskPerFft, 2},
   };
+  constexpr int kReps = 33;
   for (const Row& row : rows) {
-    std::vector<double> t_off;
-    std::vector<double> t_on;
-    for (int rep = 0; rep < 5; ++rep) {
-      t_off.push_back(
-          run_real(row.nranks, row.ntg, row.mode, row.threads, off));
-      t_on.push_back(run_real(row.nranks, row.ntg, row.mode, row.threads, on));
-    }
-    const double med_off = fx::core::median(t_off);
-    const double med_on = fx::core::median(t_on);
-    const double overhead = (med_on - med_off) / med_off * 100.0;
-    t.row({row.name, fx::core::fixed(med_off, 4), fx::core::fixed(med_on, 4),
-           fx::core::cat(fx::core::fixed(overhead, 2), " %")});
-    csv.row({to_string(row.mode), "off", fx::core::cat(med_off), "0"});
-    csv.row({to_string(row.mode), "on", fx::core::cat(med_on),
-             fx::core::cat(fx::core::fixed(overhead, 2))});
+    const PairedAb ab = paired_ab(
+        kReps,
+        [&] { return run_real(row.nranks, row.ntg, row.mode, row.threads, off); },
+        [&] { return run_real(row.nranks, row.ntg, row.mode, row.threads, on); });
+    t.row({row.name, fx::core::fixed(ab.base_s, 4),
+           fx::core::fixed(ab.variant_s, 4),
+           fx::core::cat(fx::core::fixed(ab.overhead_pct, 2), " %")});
+    csv.row({to_string(row.mode), "off", fx::core::cat(ab.base_s), "0"});
+    csv.row({to_string(row.mode), "on", fx::core::cat(ab.variant_s),
+             fx::core::cat(fx::core::fixed(ab.overhead_pct, 2))});
     report.set(fx::core::cat("hardening_overhead.on_pct.", to_string(row.mode)),
-               overhead);
+               ab.overhead_pct);
   }
   t.print(std::cout);
 
@@ -160,42 +204,30 @@ void bench_hardening_overhead(fxbench::JsonReport& report) {
   // checkpoint batch) vs the bare hardened pipeline, fault-free, both timed
   // end to end.  The driver's budget is <= 3 % on this workload.
   fx::core::TablePrinter tr(
-      "Recovery overhead (driver vs hardened pipeline, fault-free, median "
-      "of 5)");
+      "Recovery overhead (driver vs hardened pipeline, fault-free, trimmed "
+      "mean of 33 order-rotated paired reps)");
   tr.header({"version", "hardened [s]", "recovery [s]", "overhead"});
   for (const Row& row : rows) {
-    std::vector<double> t_base;
-    std::vector<double> t_rec;
-    for (int rep = 0; rep < 5; ++rep) {
-      t_base.push_back(run_e2e(row.nranks, row.ntg, row.mode, row.threads, on,
-                               /*recover=*/false));
-      t_rec.push_back(run_e2e(row.nranks, row.ntg, row.mode, row.threads, on,
-                              /*recover=*/true));
-    }
-    const double med_base = fx::core::median(t_base);
-    const double med_rec = fx::core::median(t_rec);
-    const double overhead = (med_rec - med_base) / med_base * 100.0;
-    tr.row({row.name, fx::core::fixed(med_base, 4), fx::core::fixed(med_rec, 4),
-            fx::core::cat(fx::core::fixed(overhead, 2), " %")});
-    csv.row({to_string(row.mode), "recovery", fx::core::cat(med_rec),
-             fx::core::cat(fx::core::fixed(overhead, 2))});
+    const PairedAb ab = paired_ab(
+        kReps,
+        [&] {
+          return run_e2e(row.nranks, row.ntg, row.mode, row.threads, on,
+                         /*recover=*/false);
+        },
+        [&] {
+          return run_e2e(row.nranks, row.ntg, row.mode, row.threads, on,
+                         /*recover=*/true);
+        });
+    tr.row({row.name, fx::core::fixed(ab.base_s, 4),
+            fx::core::fixed(ab.variant_s, 4),
+            fx::core::cat(fx::core::fixed(ab.overhead_pct, 2), " %")});
+    csv.row({to_string(row.mode), "recovery", fx::core::cat(ab.variant_s),
+             fx::core::cat(fx::core::fixed(ab.overhead_pct, 2))});
     report.set(
         fx::core::cat("recovery_overhead.driver_pct.", to_string(row.mode)),
-        overhead);
+        ab.overhead_pct);
   }
   tr.print(std::cout);
-}
-
-/// 20 %-trimmed mean: the scheduler on an oversubscribed host produces a
-/// few wild outliers per batch that a plain mean would chase and that even
-/// the median wobbles on; trimming both tails keeps the estimate stable
-/// run to run.
-double trimmed_mean(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t k = v.size() / 5;
-  double sum = 0.0;
-  for (std::size_t i = k; i < v.size() - k; ++i) sum += v[i];
-  return sum / static_cast<double>(v.size() - 2 * k);
 }
 
 /// Tracing A/B: the observability layer off vs the mutex collection path vs
@@ -337,43 +369,26 @@ void bench_obs_overhead(fxbench::JsonReport& report) {
   constexpr int kReps = 33;
   auto& obs = fx::trace::Observatory::global();
   for (const Row& row : rows) {
-    std::vector<double> t_off;
-    std::vector<double> t_watch;
-    std::vector<double> ratio;
-    for (int rep = 0; rep < kReps; ++rep) {
-      double t_o = 0.0;
-      double t_w = 0.0;
-      // Order-rotated pairs, same scheme as the tracing A/B.  configure()
-      // resets the observatory's recorded state, so every watch rep starts
-      // with an empty ring and cold statistics -- the steady-state cost is
-      // the same (the ring is fixed-size), but the reset keeps rep K from
-      // carrying rep K-1's flight recorder.
-      for (int k = 0; k < 2; ++k) {
-        if ((rep + k) % 2 == 0) {
-          obs.configure(ObsMode::Off);
-          t_o = run_real(row.nranks, row.ntg, row.mode, row.threads, quiet,
-                         nullptr, kEcut, kBands);
-        } else {
-          obs.configure(ObsMode::Watch);
-          t_w = run_real(row.nranks, row.ntg, row.mode, row.threads, quiet,
-                         nullptr, kEcut, kBands);
-        }
-      }
-      t_off.push_back(t_o);
-      t_watch.push_back(t_w);
-      ratio.push_back(t_w / t_o);
-    }
-    const double med_off = trimmed_mean(t_off);
-    const double med_watch = trimmed_mean(t_watch);
-    const double ovh = (trimmed_mean(ratio) - 1.0) * 100.0;
-    t.row({row.name, fx::core::fixed(med_off, 4),
-           fx::core::fixed(med_watch, 4),
-           fx::core::cat(fx::core::fixed(ovh, 2), " %")});
-    csv.row({to_string(row.mode), "off", fx::core::cat(med_off), "0"});
-    csv.row({to_string(row.mode), "watch", fx::core::cat(med_watch),
-             fx::core::cat(fx::core::fixed(ovh, 2))});
+    // configure() resets the observatory's recorded state, so every watch
+    // rep starts with an empty ring and cold statistics -- the steady-state
+    // cost is the same (the ring is fixed-size), but the reset keeps rep K
+    // from carrying rep K-1's flight recorder.
+    auto run_with = [&](ObsMode mode) {
+      obs.configure(mode);
+      return run_real(row.nranks, row.ntg, row.mode, row.threads, quiet,
+                      nullptr, kEcut, kBands);
+    };
+    const PairedAb ab =
+        paired_ab(kReps, [&] { return run_with(ObsMode::Off); },
+                  [&] { return run_with(ObsMode::Watch); });
+    t.row({row.name, fx::core::fixed(ab.base_s, 4),
+           fx::core::fixed(ab.variant_s, 4),
+           fx::core::cat(fx::core::fixed(ab.overhead_pct, 2), " %")});
+    csv.row({to_string(row.mode), "off", fx::core::cat(ab.base_s), "0"});
+    csv.row({to_string(row.mode), "watch", fx::core::cat(ab.variant_s),
+             fx::core::cat(fx::core::fixed(ab.overhead_pct, 2))});
     report.set(fx::core::cat("obs_overhead.watch_pct.", to_string(row.mode)),
-               ovh);
+               ab.overhead_pct);
   }
   // Hand the process back to whatever FFTX_OBS selected.
   obs.configure(fx::trace::default_obs_mode());

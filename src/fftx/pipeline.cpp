@@ -177,6 +177,9 @@ BandFftPipeline::BandFftPipeline(mpi::Comm world,
   // A narrow wire exists only on the view exchanges, so it implies the
   // fused layouts (the staged Alltoallv would ship fp64 regardless).
   fused_ = cfg_.fused_exchange || cfg_.wire_format != mpi::WireFormat::Fp64;
+  // A one-rank scatter group (nproc == ntg) exchanges with itself only: its
+  // staged marshal, self-copy and unmarshal collapse to one view copy.
+  fused_scatter_ = fused_ || desc_->group_size() == 1;
 
   const int ntg = desc_->ntg();
   const int rgroup = desc_->group_size();
@@ -218,7 +221,7 @@ BandFftPipeline::BandFftPipeline(mpi::Comm world,
     roff += scat_recv_counts_[pu];
   }
 
-  if (fused_) {
+  if (fused_scatter_) {
     // Fused layouts (see the header): stick-ordered scatter runs.
     const std::size_t nz = desc_->dims().nz;
     const std::size_t nxny = desc_->dims().plane();
@@ -239,14 +242,16 @@ BandFftPipeline::BandFftPipeline(mpi::Comm world,
             mpi::SegRun{desc_->stick_xy(s), npz_b, nxny});
       }
     }
+    for (std::size_t p = 0; p < scat_send_runs_.size(); ++p) {
+      pencil_views_.emplace_back(scat_send_runs_[p]);
+      plane_views_.emplace_back(scat_recv_runs_[p]);
+    }
+  }
+  if (fused_) {
     for (int m = 0; m < ntg; ++m) {
       const auto mu = static_cast<std::size_t>(m);
       psi_runs_.push_back(mpi::SegRun{mu * ng_w, ng_w, 1});
       group_runs_.push_back(mpi::SegRun{pack_displs_[mu], pack_counts_[mu], 1});
-    }
-    for (std::size_t p = 0; p < scat_send_runs_.size(); ++p) {
-      pencil_views_.emplace_back(scat_send_runs_[p]);
-      plane_views_.emplace_back(scat_recv_runs_[p]);
     }
     for (std::size_t m = 0; m < psi_runs_.size(); ++m) {
       psi_views_.emplace_back(&psi_runs_[m], 1);
@@ -299,10 +304,12 @@ std::unique_ptr<BandFftPipeline::WorkBuffers> BandFftPipeline::make_buffers()
   wb->band_g.resize(desc_->ng_group(b_));
   wb->pencil.resize(desc_->pencil_size(b_));
   wb->planes.resize(desc_->plane_size(b_));
+  // The staging buffers exist only on the marshalled paths; the fused
+  // exchanges address pencil/planes/psi directly.
   if (!fused_) {
-    // The staging buffers exist only on the marshalled path; the fused
-    // exchanges address pencil/planes/psi directly.
     wb->pack_send.resize(static_cast<std::size_t>(desc_->ntg()) * ng_w);
+  }
+  if (!fused_scatter_) {
     wb->stage.resize(desc_->pencil_size(b_));
     wb->plane_stage.resize(desc_->total_sticks() * desc_->npz(b_));
   }
@@ -384,10 +391,11 @@ std::vector<int> BandFftPipeline::abft_corrupt_bands() const {
 
 void BandFftPipeline::transpose(const Transpose& t, int tag) {
   mpi::Comm& comm = *t.comm;
-  if (fused_ && cfg_.guard_exchanges) {
+  const bool views = !t.sviews.empty();
+  if (views && cfg_.guard_exchanges) {
     guarded_alltoallv_view(comm, t.send, t.sviews, t.recv, t.rviews, tag,
                            &guard_stats_, cfg_.wire_format, cfg_.deadline);
-  } else if (fused_) {
+  } else if (views) {
     comm.alltoallv_view(t.send, t.sviews, t.recv, t.rviews, sizeof(cplx), tag,
                         cfg_.wire_format);
   } else if (cfg_.guard_exchanges) {
@@ -487,7 +495,7 @@ BandFftPipeline::Transpose BandFftPipeline::scatter_fw_before(
                    trace::copy_cost(wb.pencil.size()).instructions);
     abft_->check_pencil(wb.abft, wb.pencil.data(), wb.pencil.size());
   }
-  if (fused_) {
+  if (fused_scatter_) {
     // Zero-copy scatter: the exchange reads stick sections straight out of
     // the pencil buffer and lands them at each stick's (x, y) column of
     // the zero-filled planes -- both marshalling passes are gone.
@@ -524,7 +532,7 @@ BandFftPipeline::Transpose BandFftPipeline::scatter_fw_before(
 }
 
 void BandFftPipeline::scatter_fw_after(WorkBuffers& wb, int iter) {
-  if (!fused_) {  // Unmarshal into zero-filled planes at each stick's (x, y).
+  if (!fused_scatter_) {  // Unmarshal into zero-filled planes at (x, y).
     trace::ScopedSpan span(tracer_, w_, trace_tid(),
                            trace::PhaseKind::Scatter, iter);
     StagingTimer staging_timer;
@@ -570,7 +578,7 @@ BandFftPipeline::Transpose BandFftPipeline::scatter_bw_before(
     // the received data covers the pencil exactly once.
     wb.abft.bw_e_send = abft_->stick_energy(wb.planes.data());
   }
-  if (fused_) {
+  if (fused_scatter_) {
     // The forward layouts with the sides swapped: (x, y) columns of the
     // planes go back to stick sections of the pencil, which is covered
     // exactly once (no zero fill needed).
@@ -604,7 +612,7 @@ BandFftPipeline::Transpose BandFftPipeline::scatter_bw_before(
 }
 
 void BandFftPipeline::scatter_bw_after(WorkBuffers& wb, int iter) {
-  if (!fused_) {  // Unmarshal pencil sections: reverse of the forward marshal.
+  if (!fused_scatter_) {  // Unmarshal pencil sections: reverse of the marshal.
     trace::ScopedSpan span(tracer_, w_, trace_tid(),
                            trace::PhaseKind::Scatter, iter);
     StagingTimer staging_timer;

@@ -93,7 +93,10 @@ struct PipelineConfig {
   /// Zero-copy transposes: the band pack/unpack and pencil<->plane
   /// exchanges move scatter-gather views of the FFT buffers directly,
   /// deleting the marshalling (staging) passes.  Bit-identical to the
-  /// staged path.
+  /// staged path.  When off, only the multi-rank exchanges stage: a
+  /// one-rank scatter group (nproc == ntg) always runs its pencil<->plane
+  /// self-exchange on the views, and the ntg == 1 pack and unpack are
+  /// local copies.
   bool fused_exchange = default_fused_exchange();
   /// Constant: there is no in-band chunked overlap; an exchange overlaps
   /// compute only as a Streaming split exchange.  Kept (with the constant
@@ -240,9 +243,9 @@ class BandFftPipeline {
 
   /// The transpose an exchange stage's before half leaves ready: fused
   /// scatter-gather views, or staged buffers with counts and displacements
-  /// (both move through simmpi's one all-to-all engine; transpose() picks
-  /// the call).  A null comm moves nothing (the ntg == 1 pack and unpack
-  /// are local).
+  /// (both move through simmpi's one all-to-all engine; transpose() calls
+  /// the view exchange exactly when sviews is non-empty).  A null comm
+  /// moves nothing (the ntg == 1 pack and unpack are local).
   struct Transpose {
     mpi::Comm* comm = nullptr;
     const fft::cplx* send = nullptr;
@@ -295,8 +298,8 @@ class BandFftPipeline {
   [[noreturn]] void throw_deadline(int iter) const;
 
   /// Every blocking transpose funnels through here (t.comm non-null): the
-  /// view exchange on the fused layouts, the contiguous Alltoallv on the
-  /// staged ones, each checksum-guarded when cfg_.guard_exchanges is set.
+  /// view exchange when t carries views, the contiguous Alltoallv on the
+  /// staged layouts, each checksum-guarded when cfg_.guard_exchanges is set.
   void transpose(const Transpose& t, int tag);
 
   /// Compute bit-flip injection hook (FFTX_FAULT_FLIP_*): offers the stage
@@ -317,8 +320,13 @@ class BandFftPipeline {
   mpi::Comm pack_;  ///< the T neighboring ranks (band redistribution)
   mpi::Comm scat_;  ///< the R alternating ranks (pencil<->plane exchange)
 
-  bool fused_ = false;  ///< fused_exchange || narrow wire
-  int npsi_ = 0;        ///< complex bands in the loop (see num_psi())
+  /// fused_exchange || narrow wire: every exchange runs on the views.
+  /// Also decides the Streaming split (StreamExecutor::run).
+  bool fused_ = false;
+  /// fused_ || one-rank scatter group (nproc == ntg): the pencil<->plane
+  /// scatters run on the views, and no stage/plane_stage is allocated.
+  bool fused_scatter_ = false;
+  int npsi_ = 0;  ///< complex bands in the loop (see num_psi())
 
   // Per-band packed coefficients (this rank's world-stick slice), one
   // arena with band n at n * ng_world(w): the fused pack/unpack exchanges
@@ -349,14 +357,15 @@ class BandFftPipeline {
   std::vector<std::size_t> scat_recv_counts_;  // from group peer q
   std::vector<std::size_t> scat_recv_displs_;
 
-  // Fused scatter layouts, precomputed (iteration-independent).  Send side
-  // addresses the pencil buffer: run j of peer p is stick j's npz(p)
-  // z-planes.  Receive side addresses the plane buffer: run j of peer q is
-  // stick group_sticks(q)[j]'s (x, y) column, stride nx * ny.
+  // Fused scatter layouts (built when fused_scatter_), precomputed
+  // (iteration-independent).  Send side addresses the pencil buffer: run j
+  // of peer p is stick j's npz(p) z-planes.  Receive side addresses the
+  // plane buffer: run j of peer q is stick group_sticks(q)[j]'s (x, y)
+  // column, stride nx * ny.
   std::vector<std::vector<mpi::SegRun>> scat_send_runs_;  // [peer][stick]
   std::vector<std::vector<mpi::SegRun>> scat_recv_runs_;  // [peer][stick]
-  // Fused pack layouts: member m's band of the iteration, relative to
-  // band_data(iter), and member m's segment of band_g.
+  // Fused pack layouts (built when fused_): member m's band of the
+  // iteration, relative to band_data(iter), and member m's segment of band_g.
   std::vector<mpi::SegRun> psi_runs_;    // [member]
   std::vector<mpi::SegRun> group_runs_;  // [member]
   // One view per peer over the runs above, shared by every fused transpose

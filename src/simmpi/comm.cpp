@@ -459,6 +459,10 @@ Comm Comm::split(int color, int key, int tag) const {
         for (int p = 0; p < ctx_->size; ++p) {
           groups[o.scalar[static_cast<std::size_t>(p)]].push_back(p);
         }
+        // Forget dead children before adding new ones: an expired entry
+        // would pin its make_shared block for the parent's lifetime.
+        std::erase_if(ctx_->children,
+                      [](const auto& w) { return w.expired(); });
         for (auto& [c, members] : groups) {
           // Keys were stored via size_t; recover the signed value so
           // negative keys order correctly.

@@ -1,8 +1,9 @@
 // Fused zero-copy transposes acceptance: every pipeline mode on the fused
-// layouts is bit-identical to the staged blocking oracle, and the guard
-// and the recovery driver keep working on the fused path.  (The split
-// nonblocking exchanges of the Streaming schedule have their own tests in
-// test_streaming.cpp.)
+// layouts is bit-identical to the staged blocking oracle, one-rank groups
+// (ntg == 1 packs, nproc == ntg scatters) reproduce the multi-rank
+// decompositions bit for bit, and the guard and the recovery driver keep
+// working on the fused path.  (The split nonblocking exchanges of the
+// Streaming schedule have their own tests in test_streaming.cpp.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +33,7 @@ using fx::mpi::Comm;
 using fx::mpi::CommOpKind;
 using fx::mpi::RunOptions;
 using fx::mpi::Runtime;
+using fx::mpi::WireFormat;
 using fx::pw::Cell;
 
 constexpr double kAlat = 8.0;
@@ -47,33 +49,28 @@ RunOptions quiet_options() {
 }
 
 struct RunResult {
-  std::vector<std::vector<cplx>> bands;  // [band][global G position]
+  std::vector<std::vector<cplx>> bands;  // [carried band][global G position]
   std::uint64_t guard_retries = 0;
 };
 
-/// One pipeline run gathering every band in global G order, with the
-/// exchange variant pinned explicitly (env knobs must not leak in).
-RunResult run_variant(PipelineMode mode, int nthreads, bool fused,
-                      const RunOptions& opts = RunOptions{},
-                      bool guard = false) {
-  auto desc =
-      std::make_shared<const Descriptor>(Cell{kAlat}, kEcut, kProc, kTg);
+/// One pipeline run on `desc` gathering every carried band in global G
+/// order.  `cfg` pins every exchange setting (env knobs must not leak in).
+RunResult run_on(const std::shared_ptr<const Descriptor>& desc,
+                 const PipelineConfig& cfg,
+                 const RunOptions& opts = RunOptions{}) {
   RunResult result;
-  result.bands.assign(kBands, std::vector<cplx>(desc->sphere().size()));
   std::mutex mu;
-  Runtime::run(kProc, opts, [&](Comm& world) {
-    PipelineConfig cfg;
-    cfg.num_bands = kBands;
-    cfg.mode = mode;
-    cfg.nthreads = nthreads;
-    cfg.guard_exchanges = guard;
-    cfg.fused_exchange = fused;
+  Runtime::run(desc->nproc(), opts, [&](Comm& world) {
     BandFftPipeline pipe(world, desc, cfg);
     pipe.initialize_bands();
     pipe.run();
     const auto index = desc->world_g_index(world.rank());
     std::lock_guard lock(mu);
-    for (int n = 0; n < kBands; ++n) {
+    if (result.bands.empty()) {
+      result.bands.assign(static_cast<std::size_t>(pipe.num_psi()),
+                          std::vector<cplx>(desc->sphere().size()));
+    }
+    for (int n = 0; n < pipe.num_psi(); ++n) {
       const auto mine = pipe.band(n);
       for (std::size_t k = 0; k < index.size(); ++k) {
         result.bands[static_cast<std::size_t>(n)][index[k]] = mine[k];
@@ -82,6 +79,23 @@ RunResult run_variant(PipelineMode mode, int nthreads, bool fused,
     result.guard_retries += pipe.guard_retries();
   });
   return result;
+}
+
+/// run_on at the suite's kProc x kTg decomposition, fp64 wire, c2c bands.
+RunResult run_variant(PipelineMode mode, int nthreads, bool fused,
+                      const RunOptions& opts = RunOptions{},
+                      bool guard = false) {
+  PipelineConfig cfg;
+  cfg.num_bands = kBands;
+  cfg.mode = mode;
+  cfg.nthreads = nthreads;
+  cfg.guard_exchanges = guard;
+  cfg.fused_exchange = fused;
+  cfg.real_bands = false;
+  cfg.wire_format = WireFormat::Fp64;
+  return run_on(
+      std::make_shared<const Descriptor>(Cell{kAlat}, kEcut, kProc, kTg), cfg,
+      opts);
 }
 
 double worst_error_vs_reference(const RunResult& r) {
@@ -98,21 +112,54 @@ double worst_error_vs_reference(const RunResult& r) {
 }
 
 TEST(FusedExchange, EveryModeBitIdenticalToStagedOracle) {
+  // Every schedule, staged and fused, on every decomposition reproduces the
+  // staged Original run at (nproc, ntg) = (2, 1) bit for bit: c2c and r2c,
+  // at the fp64 wire and at the fp32 wire (which quantizes at the same
+  // points everywhere).  The one-rank groups take shortcuts: at ntg == 1
+  // the pack and unpack are local copies, and at nproc == ntg every
+  // scatter is a self-exchange on the fused views, on the staged path too.
   const struct {
     PipelineMode mode;
     int nthreads;
   } kModes[] = {
-      {PipelineMode::Original, 1},
-      {PipelineMode::TaskPerFft, 3},
-      {PipelineMode::TaskPerStep, 2},
-      {PipelineMode::Combined, 3},
+      {PipelineMode::Original, 1},   {PipelineMode::TaskPerStep, 2},
+      {PipelineMode::TaskPerFft, 3}, {PipelineMode::Combined, 3},
+      {PipelineMode::Streaming, 2},
   };
-  for (const auto& m : kModes) {
-    const RunResult staged = run_variant(m.mode, m.nthreads, /*fused=*/false);
-    EXPECT_LT(worst_error_vs_reference(staged), 1e-12)
-        << fx::fftx::to_string(m.mode);
-    const RunResult fused = run_variant(m.mode, m.nthreads, /*fused=*/true);
-    EXPECT_EQ(fused.bands, staged.bands) << fx::fftx::to_string(m.mode);
+  auto decomposition = [](int nproc, int ntg) {
+    return std::make_shared<const Descriptor>(Cell{kAlat}, kEcut, nproc, ntg);
+  };
+  const auto oracle = decomposition(2, 1);
+  const std::shared_ptr<const Descriptor> kLayouts[] = {
+      decomposition(kProc, kTg), decomposition(1, 1), decomposition(2, 2)};
+  for (const WireFormat wire : {WireFormat::Fp64, WireFormat::Fp32}) {
+    for (const bool real_bands : {false, true}) {
+      PipelineConfig cfg;
+      cfg.num_bands = kBands;
+      cfg.guard_exchanges = false;
+      cfg.real_bands = real_bands;
+      cfg.wire_format = wire;
+      cfg.fused_exchange = false;
+      const RunResult want = run_on(oracle, cfg);
+      if (wire == WireFormat::Fp64 && !real_bands) {
+        EXPECT_LT(worst_error_vs_reference(want), 1e-12);
+      }
+      for (const auto& desc : kLayouts) {
+        for (const auto& m : kModes) {
+          for (const bool fused : {false, true}) {
+            cfg.mode = m.mode;
+            cfg.nthreads = m.nthreads;
+            cfg.fused_exchange = fused;
+            EXPECT_EQ(run_on(desc, cfg).bands, want.bands)
+                << "(" << desc->nproc() << ", " << desc->ntg() << ") "
+                << fx::fftx::to_string(m.mode)
+                << (fused ? " fused" : " staged")
+                << (real_bands ? " r2c" : " c2c") << " wire "
+                << fx::mpi::to_string(wire);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -127,6 +174,23 @@ TEST(FusedExchange, StagingBytesCountOnlyTheStagedPath) {
   const auto before_staged = staging.value();
   run_variant(PipelineMode::Original, 1, /*fused=*/false);
   EXPECT_GT(staging.value(), before_staged);
+
+  // A one-rank scatter group (nproc == ntg) stages only its pack and
+  // unpack: every rank marshals its ntg bands' coefficients once each way
+  // per iteration, and its scatters are self-exchanges on the views.
+  auto desc = std::make_shared<const Descriptor>(Cell{kAlat}, kEcut, 2, 2);
+  PipelineConfig cfg;
+  cfg.num_bands = kBands;
+  cfg.guard_exchanges = false;
+  cfg.fused_exchange = false;
+  cfg.real_bands = false;
+  cfg.wire_format = WireFormat::Fp64;
+  std::size_t coefficients = 0;
+  for (int w = 0; w < desc->nproc(); ++w) coefficients += desc->ng_world(w);
+  const auto before_one_rank = staging.value();
+  run_on(desc, cfg);
+  EXPECT_EQ(staging.value() - before_one_rank,
+            2 * kBands * coefficients * sizeof(cplx));
 }
 
 TEST(FusedExchange, GuardRecoversBitFlipOnFusedExchange) {

@@ -3,12 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <map>
 #include <thread>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "simmpi/comm.hpp"
 #include "simmpi/runtime.hpp"
+
+// Heap accounting through mallinfo2 reads glibc's allocator, which the
+// address and thread sanitizers replace.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define FX_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define FX_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace {
 
@@ -153,6 +168,37 @@ TEST(Split, SingletonGroups) {
     EXPECT_EQ(solo.rank(), 0);
     solo.barrier();  // must not hang
   });
+}
+
+TEST(Split, DroppedChildrenDoNotGrowTheHeap) {
+  // A parent remembers its split children (to poison them) only while they
+  // live: a long-lived world that splits for every pipeline must not keep
+  // one entry per dead child.  Each round is a pipeline's pair of splits at
+  // ntg == 1 -- two singleton pack comms and one two-rank scatter comm.
+#if defined(FX_TEST_SANITIZED) || !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc's mallinfo2 without a sanitizer allocator";
+#else
+  constexpr int kRounds = 10000;
+  std::size_t grown = 0;
+  Runtime::run(2, [&](Comm& world) {
+    auto round = [&] {
+      const Comm pack = world.split(/*color=*/world.rank(), /*key=*/0);
+      const Comm scat = world.split(/*color=*/0, /*key=*/world.rank());
+    };
+    for (int i = 0; i < 100; ++i) round();  // warm the allocator's caches
+    world.barrier();
+    const std::size_t before = mallinfo2().uordblks;
+    world.barrier();
+    for (int i = 0; i < kRounds; ++i) round();
+    world.barrier();
+    if (world.rank() == 0) {
+      const std::size_t after = mallinfo2().uordblks;
+      grown = after > before ? after - before : 0;
+    }
+  });
+  // Leaking every child costs well over a kilobyte per round (16 MB in all).
+  EXPECT_LT(grown, std::size_t{1} << 20) << "heap grew by " << grown << " B";
+#endif
 }
 
 TEST(Observer, EventsCarryKindCommAndBytes) {
