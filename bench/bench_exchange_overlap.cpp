@@ -4,14 +4,9 @@
 //
 // The fused variant's claim is structural: the staging counter must drop
 // to zero because no pack/stage buffer is touched.  Exchange wait
-// (simmpi.{alltoallv,ialltoallv}.wait_us) and staging time are measured
-// from metrics deltas around otherwise identical runs, so the numbers
-// isolate the exchange engine from everything else.
-//
-// "Exchange cost" below is blocked-wait time PLUS staged marshal/unmarshal
-// time (fftx.exchange.staging_us): the staging copies exist only to feed
-// the exchange, so a fair A/B against the zero-copy layouts charges them
-// to the exchange path, not to compute.
+// (simmpi.{alltoallv,ialltoallv}.wait_us) is measured from metrics deltas
+// around otherwise identical runs; it explains the result, and the wall
+// time is the result.
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -36,19 +31,15 @@ constexpr Variant kVariants[] = {
 struct Measured {
   double wall_s = 0.0;        // median wall seconds of the reps
   double wait_s = 0.0;        // summed exchange-blocked seconds, all ranks
-  double staging_s = 0.0;     // summed staged marshal/unmarshal seconds
   double staging_mb = 0.0;    // marshalling traffic through staging buffers
   double bytes_mb = 0.0;      // payload bytes actually exchanged (wire size)
   std::uint64_t posted = 0;   // view exchanges posted (Ialltoallv kind)
-
-  double cost_s() const { return wait_s + staging_s; }
 };
 
 /// Per-variant accumulator across the interleaved reps.
 struct Samples {
   std::vector<double> times;
   std::vector<double> waits;
-  std::vector<double> stagings;
   double staging_bytes = 0.0;
   double exchanged_bytes = 0.0;
   std::uint64_t posted = 0;
@@ -61,13 +52,11 @@ void run_once(const std::shared_ptr<const fx::fftx::Descriptor>& desc,
   auto& wait_bl = reg.histogram("simmpi.alltoallv.wait_us");
   auto& wait_nb = reg.histogram("simmpi.ialltoallv.wait_us");
   auto& staging = reg.counter("fftx.exchange.staging_bytes");
-  auto& staging_us = reg.histogram("fftx.exchange.staging_us");
   auto& posted = reg.counter("simmpi.ialltoallv.posted");
   auto& bytes_bl = reg.counter("simmpi.alltoallv.bytes");
   auto& bytes_nb = reg.counter("simmpi.ialltoallv.bytes");
 
   const double wait0 = wait_bl.sum() + wait_nb.sum();
-  const double staging_us0 = staging_us.sum();
   const double staging0 = static_cast<double>(staging.value());
   const double bytes0 =
       static_cast<double>(bytes_bl.value() + bytes_nb.value());
@@ -88,7 +77,6 @@ void run_once(const std::shared_ptr<const fx::fftx::Descriptor>& desc,
   });
   out.times.push_back(t);
   out.waits.push_back((wait_bl.sum() + wait_nb.sum() - wait0) / 1e6);
-  out.stagings.push_back((staging_us.sum() - staging_us0) / 1e6);
   out.staging_bytes += static_cast<double>(staging.value()) - staging0;
   out.exchanged_bytes +=
       static_cast<double>(bytes_bl.value() + bytes_nb.value()) - bytes0;
@@ -99,7 +87,6 @@ Measured summarize(const Samples& s, int reps) {
   Measured m;
   m.wall_s = fx::core::median(s.times);
   m.wait_s = fx::core::median(s.waits);
-  m.staging_s = fx::core::median(s.stagings);
   m.staging_mb = s.staging_bytes / 1e6 / reps;
   m.bytes_mb = s.exchanged_bytes / 1e6 / reps;
   m.posted = s.posted / static_cast<std::uint64_t>(reps);
@@ -153,12 +140,11 @@ int main() {
 
   fx::core::TablePrinter t(
       "Exchange engine (real backend, medians over 21 order-rotated paired reps)");
-  t.header({"config", "variant", "wall [s]", "wait [s]", "staging [s]",
-            "cost [s]", "staging [MB]", "wire [MB]", "cost vs staged"});
+  t.header({"config", "variant", "wall [s]", "wait [s]", "staging [MB]",
+            "wire [MB]"});
   fx::core::CsvWriter csv("bench/out/exchange_overlap.csv");
   csv.row({"nranks", "ntg", "ecut", "variant", "wall_s", "exchange_wait_s",
-           "staging_s", "exchange_cost_s", "staging_mb", "bytes_exchanged_mb",
-           "posted", "cost_reduction_pct"});
+           "staging_mb", "bytes_exchanged_mb", "posted"});
   // Structural claims only: the fused engine must move zero bytes through
   // staging buffers regardless of host speed, so perf_regress can gate it
   // tightly; the wall/wait seconds stay in the CSV (host-dependent).
@@ -192,29 +178,18 @@ int main() {
         run_once(desc, c.nranks, kVariants[vi], kBands, samples[vi]);
       }
     }
-    double staged_cost = 0.0;
     for (int vi = 0; vi < kNumVariants; ++vi) {
       const Variant& v = kVariants[vi];
       const Measured m = summarize(samples[vi], kReps);
-      if (!v.fused) staged_cost = m.cost_s();
-      const double reduction =
-          staged_cost > 0.0
-              ? (staged_cost - m.cost_s()) / staged_cost * 100.0
-              : 0.0;
       t.row({fx::core::cat(c.nranks, " ranks, ntg ", c.ntg, ", ecut ",
                            fx::core::fixed(c.ecut, 0)),
              v.name, fx::core::fixed(m.wall_s, 4),
-             fx::core::fixed(m.wait_s, 4), fx::core::fixed(m.staging_s, 4),
-             fx::core::fixed(m.cost_s(), 4),
-             fx::core::fixed(m.staging_mb, 2),
-             fx::core::fixed(m.bytes_mb, 2),
-             fx::core::cat(fx::core::fixed(reduction, 1), " %")});
+             fx::core::fixed(m.wait_s, 4), fx::core::fixed(m.staging_mb, 2),
+             fx::core::fixed(m.bytes_mb, 2)});
       csv.row({fx::core::cat(c.nranks), fx::core::cat(c.ntg),
                fx::core::cat(c.ecut), v.name, fx::core::cat(m.wall_s),
-               fx::core::cat(m.wait_s), fx::core::cat(m.staging_s),
-               fx::core::cat(m.cost_s()), fx::core::cat(m.staging_mb),
-               fx::core::cat(m.bytes_mb), fx::core::cat(m.posted),
-               fx::core::cat(fx::core::fixed(reduction, 1))});
+               fx::core::cat(m.wait_s), fx::core::cat(m.staging_mb),
+               fx::core::cat(m.bytes_mb), fx::core::cat(m.posted)});
       report.set(fx::core::cat("exchange.staging_mb.", v.name, ".",
                                c.nranks, "r_ecut",
                                fx::core::fixed(c.ecut, 0)),

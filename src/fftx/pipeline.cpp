@@ -1,7 +1,6 @@
 #include "fftx/pipeline.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -39,33 +38,12 @@ bool env_flag(const char* name) {
 // Exchange-path health: staging_bytes counts every byte the staged
 // (non-fused) transposes marshal through intermediate buffers (zero when
 // the fused layouts are on -- that is the "zero-copy" claim, measurable).
-struct ExchangeMetrics {
-  core::Counter& staging_bytes;
-  core::Histogram& staging_us;
-};
-
-ExchangeMetrics& exchange_metrics() {
-  auto& reg = core::MetricsRegistry::global();
-  static ExchangeMetrics m{reg.counter("fftx.exchange.staging_bytes"),
-                           reg.histogram("fftx.exchange.staging_us")};
-  return m;
+// The marshal's time is in the Pack/Scatter/Unpack spans around it.
+core::Counter& staging_bytes() {
+  static core::Counter& c =
+      core::MetricsRegistry::global().counter("fftx.exchange.staging_bytes");
+  return c;
 }
-
-/// Times one staged marshal/unmarshal block into staging_us.  Staging copy
-/// time is exchange-path time the fused layouts eliminate, so the
-/// exchange-engine A/B sums it with the wait histograms to compare full
-/// exchange cost across variants.
-class StagingTimer {
- public:
-  StagingTimer() : t0_(core::WallTimer::now()) {}
-  ~StagingTimer() {
-    exchange_metrics().staging_us.record((core::WallTimer::now() - t0_) *
-                                         1e6);
-  }
-
- private:
-  double t0_;
-};
 
 /// Applies the wire round-trip to one value (identity at Fp64).  The
 /// ntg == 1 pack/unpack shortcuts use this to reproduce exactly the
@@ -74,44 +52,6 @@ class StagingTimer {
 cplx wire_q(mpi::WireFormat f, cplx v) {
   if (f == mpi::WireFormat::Fp64) return v;
   return {mpi::wire_roundtrip(f, v.real()), mpi::wire_roundtrip(f, v.imag())};
-}
-
-/// Model-expected per-phase iteration cost for the observatory's drift
-/// detector: the same work descriptors the trace spans charge, divided by
-/// the phase's nominal IPC to turn instruction shares into time shares.
-/// Unnormalized -- Observatory::begin_run normalizes.
-std::array<double, trace::kNumPhaseKinds> expected_phase_shares(
-    const Descriptor& d, int w, int b, const PipelineConfig& cfg) {
-  const std::size_t ng_w = d.ng_world(w);
-  const std::size_t pencil = d.pencil_size(b);
-  const std::size_t planes = d.plane_size(b);
-  const std::size_t pidx = d.pencil_index(b).size();
-  const std::size_t nz = d.dims().nz;
-  const std::size_t nxny = d.dims().plane();
-  const auto ntg = static_cast<std::size_t>(d.ntg());
-
-  std::array<double, trace::kNumPhaseKinds> cost{};
-  auto at = [&](trace::PhaseKind k) -> double& {
-    return cost[static_cast<std::size_t>(k)];
-  };
-  at(trace::PhaseKind::Pack) =
-      trace::copy_cost(ntg > 1 ? ntg * ng_w : ng_w).instructions;
-  at(trace::PhaseKind::PsiPrep) = trace::copy_cost(pencil + pidx).instructions;
-  at(trace::PhaseKind::FftZ) = 2.0 * trace::fft_cost(pencil, nz).instructions;
-  at(trace::PhaseKind::Scatter) = 2.0 * trace::copy_cost(planes).instructions;
-  at(trace::PhaseKind::FftXy) =
-      2.0 * trace::fft_cost(planes, nxny).instructions;
-  if (cfg.apply_potential) {
-    at(trace::PhaseKind::Vofr) = trace::vofr_cost(planes).instructions;
-  }
-  at(trace::PhaseKind::Unpack) =
-      trace::copy_cost(pidx).instructions +
-      (ntg > 1 ? trace::copy_cost(ntg * ng_w).instructions : 0.0);
-  for (int p = 0; p < trace::kNumPhaseKinds; ++p) {
-    cost[static_cast<std::size_t>(p)] /=
-        trace::phase_nominal_ipc(static_cast<trace::PhaseKind>(p));
-  }
-  return cost;
 }
 }  // namespace
 
@@ -471,7 +411,6 @@ BandFftPipeline::Transpose BandFftPipeline::pack_before(WorkBuffers& wb,
     FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Pack, iter,
                    trace::copy_cost(static_cast<std::size_t>(ntg) * ng_w)
                        .instructions);
-    StagingTimer staging_timer;
     for (int m = 0; m < ntg; ++m) {
       const cplx* src = band_data(iter + m);
       std::copy(src, src + ng_w,
@@ -479,8 +418,7 @@ BandFftPipeline::Transpose BandFftPipeline::pack_before(WorkBuffers& wb,
                     static_cast<std::ptrdiff_t>(
                         static_cast<std::size_t>(m) * ng_w));
     }
-    exchange_metrics().staging_bytes.add(static_cast<std::size_t>(ntg) *
-                                         ng_w * sizeof(cplx));
+    staging_bytes().add(static_cast<std::size_t>(ntg) * ng_w * sizeof(cplx));
   }
   return {.comm = &pack_, .send = wb.pack_send.data(),
           .recv = wb.band_g.data(), .scounts = pack_send_counts_.data(),
@@ -508,7 +446,6 @@ BandFftPipeline::Transpose BandFftPipeline::scatter_fw_before(
   {  // Marshal pencil sections per destination rank: [peer][stick][iz].
     trace::ScopedSpan span(tracer_, w_, trace_tid(),
                            trace::PhaseKind::Scatter, iter);
-    StagingTimer staging_timer;
     const std::size_t nz = desc_->dims().nz;
     const std::size_t nst = desc_->nsticks_group(b_);
     std::size_t pos = 0;
@@ -522,7 +459,7 @@ BandFftPipeline::Transpose BandFftPipeline::scatter_fw_before(
       }
     }
     span.set_instructions(trace::copy_cost(pos).instructions);
-    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
+    staging_bytes().add(pos * sizeof(cplx));
   }
   return {.comm = &scat_, .send = wb.stage.data(),
           .recv = wb.plane_stage.data(), .scounts = scat_send_counts_.data(),
@@ -535,7 +472,6 @@ void BandFftPipeline::scatter_fw_after(WorkBuffers& wb, int iter) {
   if (!fused_scatter_) {  // Unmarshal into zero-filled planes at (x, y).
     trace::ScopedSpan span(tracer_, w_, trace_tid(),
                            trace::PhaseKind::Scatter, iter);
-    StagingTimer staging_timer;
     const std::size_t npz_b = desc_->npz(b_);
     const std::size_t nxny = desc_->dims().plane();
     std::fill(wb.planes.begin(), wb.planes.end(), cplx{0.0, 0.0});
@@ -550,7 +486,7 @@ void BandFftPipeline::scatter_fw_after(WorkBuffers& wb, int iter) {
     }
     span.set_instructions(
         trace::copy_cost(wb.planes.size() + pos).instructions);
-    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
+    staging_bytes().add(pos * sizeof(cplx));
   }
   if (abft_ != nullptr) {
     FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
@@ -588,7 +524,6 @@ BandFftPipeline::Transpose BandFftPipeline::scatter_bw_before(
   {  // Marshal plane sticks back: exact reverse of the forward unmarshal.
     trace::ScopedSpan span(tracer_, w_, trace_tid(),
                            trace::PhaseKind::Scatter, iter);
-    StagingTimer staging_timer;
     const std::size_t npz_b = desc_->npz(b_);
     const std::size_t nxny = desc_->dims().plane();
     std::size_t pos = 0;
@@ -601,7 +536,7 @@ BandFftPipeline::Transpose BandFftPipeline::scatter_bw_before(
       }
     }
     span.set_instructions(trace::copy_cost(pos).instructions);
-    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
+    staging_bytes().add(pos * sizeof(cplx));
   }
   // Counts swap relative to the forward scatter.
   return {.comm = &scat_, .send = wb.plane_stage.data(),
@@ -615,7 +550,6 @@ void BandFftPipeline::scatter_bw_after(WorkBuffers& wb, int iter) {
   if (!fused_scatter_) {  // Unmarshal pencil sections: reverse of the marshal.
     trace::ScopedSpan span(tracer_, w_, trace_tid(),
                            trace::PhaseKind::Scatter, iter);
-    StagingTimer staging_timer;
     const std::size_t nz = desc_->dims().nz;
     const std::size_t nst = desc_->nsticks_group(b_);
     std::size_t pos = 0;
@@ -629,7 +563,7 @@ void BandFftPipeline::scatter_bw_after(WorkBuffers& wb, int iter) {
       }
     }
     span.set_instructions(trace::copy_cost(pos).instructions);
-    exchange_metrics().staging_bytes.add(pos * sizeof(cplx));
+    staging_bytes().add(pos * sizeof(cplx));
   }
   if (abft_ != nullptr) {
     FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Abft, iter,
@@ -693,15 +627,13 @@ void BandFftPipeline::unpack_after(WorkBuffers& wb, int iter) {
     FX_TRACE_SCOPE(tracer_, w_, trace_tid(), trace::PhaseKind::Unpack, iter,
                    trace::copy_cost(static_cast<std::size_t>(ntg) * ng_w)
                        .instructions);
-    StagingTimer staging_timer;
     for (int m = 0; m < ntg; ++m) {
       cplx* dst = band_data(iter + m);
       const cplx* src =
           wb.pack_send.data() + static_cast<std::size_t>(m) * ng_w;
       std::copy(src, src + ng_w, dst);
     }
-    exchange_metrics().staging_bytes.add(static_cast<std::size_t>(ntg) *
-                                         ng_w * sizeof(cplx));
+    staging_bytes().add(static_cast<std::size_t>(ntg) * ng_w * sizeof(cplx));
   }
   if (abft_ != nullptr) abft_->finish_iteration(wb.abft);
 }
@@ -877,8 +809,7 @@ void BandFftPipeline::run_original() {
 double BandFftPipeline::run() {
   world_.barrier();
   // Every rank enters the observatory run (refcounted; the first one in
-  // shapes the per-rank structures and hands over the model's expected
-  // phase shares for drift detection).  RAII so a throwing run still
+  // shapes the per-rank structures).  RAII so a throwing run still
   // balances end_run.
   trace::Observatory* obs = trace::obs_active();
   struct ObsRun {
@@ -887,10 +818,7 @@ double BandFftPipeline::run() {
       if (obs != nullptr) obs->end_run();
     }
   } obs_run{obs};
-  if (obs != nullptr) {
-    obs->begin_run(world_.size(), desc_->ntg(),
-                   expected_phase_shares(*desc_, w_, b_, cfg_));
-  }
+  if (obs != nullptr) obs->begin_run(world_.size(), desc_->ntg());
   WallTimer timer;
   if (cfg_.mode == PipelineMode::Original) {
     run_original();

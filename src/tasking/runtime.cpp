@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/format.hpp"
 #include "core/metrics.hpp"
@@ -47,12 +46,6 @@ thread_local int tl_worker_id = -1;
 }  // namespace detail
 
 int current_worker_id() { return detail::tl_worker_id; }
-
-int default_task_threads() {
-  int n = 1;
-  core::env_int_in("FFTX_TASK_THREADS", n, 1, 1024, "tasking");
-  return n;
-}
 
 using detail::TaskNode;
 

@@ -83,10 +83,6 @@ Dep inout(std::span<T> s) {
 /// attribute compute phases to timeline rows.
 int current_worker_id();
 
-/// Default worker-thread count from the validated FFTX_TASK_THREADS knob
-/// (1 when unset; garbage and out-of-range values throw core::Error).
-int default_task_threads();
-
 /// Task lifecycle callbacks (consumed by the tracer).  Invoked on the
 /// executing worker thread.  on_queue_wait fires once per task at its
 /// first dispatch with the seconds it sat ready-but-unscheduled, so the

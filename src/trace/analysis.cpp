@@ -15,6 +15,18 @@ std::int64_t row_of(int rank, int thread) {
 }
 }  // namespace
 
+PopFactors pop_factors(double total_compute, double max_compute, int rows,
+                       double runtime) {
+  PopFactors f;
+  if (max_compute > 0.0 && rows > 0) {
+    f.load_balance = (total_compute / rows) / max_compute;
+  }
+  if (runtime > 0.0) {
+    f.comm_efficiency = std::min(1.0, max_compute / runtime);
+  }
+  return f;
+}
+
 EfficiencySummary analyze_efficiency(const Tracer& tracer, double freq_ghz) {
   FX_CHECK(freq_ghz > 0.0, "frequency must be positive");
   EfficiencySummary s;
@@ -48,12 +60,10 @@ EfficiencySummary analyze_efficiency(const Tracer& tracer, double freq_ghz) {
   if (s.total_compute > 0.0) {
     s.avg_ipc = s.total_instructions / (s.total_compute * freq_ghz * 1e9);
   }
-  if (s.max_compute > 0.0) {
-    s.load_balance = s.avg_compute / s.max_compute;
-  }
-  if (s.runtime > 0.0) {
-    s.comm_efficiency = std::min(1.0, s.max_compute / s.runtime);
-  }
+  const PopFactors pop =
+      pop_factors(s.total_compute, s.max_compute, s.rows, s.runtime);
+  s.load_balance = pop.load_balance;
+  s.comm_efficiency = pop.comm_efficiency;
 
   // Transfer estimation: group collective events into instances by
   // (comm id, kind, tag, per-rank occurrence index); the time after the

@@ -67,6 +67,18 @@ struct ScalabilityFactors {
   double global_efficiency = 1.0;
 };
 
+/// The two POP factors of Table I from per-row compute totals: load
+/// balance avg_i(C_i) / max_i(C_i) and communication efficiency
+/// max_i(C_i) / T (capped at 1).  analyze_efficiency applies it to a
+/// whole trace and the observatory to one band iteration, so the two can
+/// never disagree on the arithmetic.
+struct PopFactors {
+  double load_balance = 1.0;
+  double comm_efficiency = 1.0;
+};
+PopFactors pop_factors(double total_compute, double max_compute, int rows,
+                       double runtime);
+
 /// Computes the per-run factors.  `freq_ghz` converts compute time to
 /// cycles for the IPC aggregate (use the machine model's clock for model
 /// traces; any consistent value works for relative real-trace analysis).

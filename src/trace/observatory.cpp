@@ -13,6 +13,7 @@
 #include "core/hooks.hpp"
 #include "core/table.hpp"
 #include "core/timer.hpp"
+#include "trace/analysis.hpp"
 #include "trace/artifacts.hpp"
 
 namespace fx::trace {
@@ -25,7 +26,6 @@ struct ObsMetrics {
   core::Counter& phase_records;
   core::Counter& iterations;
   core::Counter& straggler_flags;
-  core::Counter& drift_flags;
   core::Counter& incidents;
   core::Gauge& load_balance;
   core::Gauge& comm_efficiency;
@@ -36,7 +36,6 @@ ObsMetrics& obs_metrics() {
   static ObsMetrics m{reg.counter("fftx.obs.phase_records"),
                       reg.counter("fftx.obs.iterations"),
                       reg.counter("fftx.obs.straggler_flags"),
-                      reg.counter("fftx.obs.drift_flags"),
                       reg.counter("fftx.obs.incidents"),
                       reg.gauge("fftx.obs.load_balance"),
                       reg.gauge("fftx.obs.comm_efficiency")};
@@ -71,12 +70,6 @@ ObsMode default_obs_mode() {
   core::invalid_env("FFTX_OBS", v, "off|watch|strict", "observatory");
 }
 
-int default_obs_ring() {
-  int ring = 32;
-  core::env_int_in("FFTX_OBS_RING", ring, 4, 1 << 24, "observatory");
-  return ring;
-}
-
 const char* to_string(ObsMode mode) {
   switch (mode) {
     case ObsMode::Off:
@@ -109,7 +102,6 @@ Observatory* obs_active() {
 
 Observatory::Observatory() {
   mode_.store(static_cast<int>(default_obs_mode()), std::memory_order_relaxed);
-  ring_cap_ = default_obs_ring();
 }
 
 void Observatory::configure(ObsMode mode, int ring_capacity) {
@@ -129,9 +121,6 @@ void Observatory::reset() {
   nranks_ = 0;
   ntg_ = 1;
   run_depth_ = 0;
-  expected_share_ = {};
-  ewma_share_ = {};
-  have_expected_ = false;
   cells_.clear();
   ring_.clear();
   done_count_.clear();
@@ -140,7 +129,6 @@ void Observatory::reset() {
   n_records_ = 0;
   n_iters_ = 0;
   n_straggler_ = 0;
-  n_drift_ = 0;
   n_incidents_ = 0;
   strict_base_ = 0;
   records_mirrored_ = 0;
@@ -163,9 +151,7 @@ Observatory::IterationRecord* Observatory::slot_for(int iter) {
   return &ring_[idx];
 }
 
-void Observatory::begin_run(
-    int nranks, int ntg,
-    const std::array<double, kNumPhaseKinds>& expected_share) {
+void Observatory::begin_run(int nranks, int ntg) {
   if (!enabled()) return;
   std::lock_guard lock(mu_);
   if (run_depth_++ > 0) return;  // joining ranks of the same run
@@ -175,14 +161,7 @@ void Observatory::begin_run(
   // slots from a previous run would alias them.
   ring_.assign(static_cast<std::size_t>(ring_cap_), IterationRecord{});
   done_count_.assign(static_cast<std::size_t>(ring_cap_), 0);
-  expected_share_ = expected_share;
-  double sum = 0.0;
-  for (const double s : expected_share_) sum += s;
-  have_expected_ = sum > 0.0;
-  if (have_expected_) {
-    for (double& s : expected_share_) s /= sum;
-  }
-  strict_base_ = n_straggler_ + n_drift_ + n_incidents_;
+  strict_base_ = n_straggler_ + n_incidents_;
 }
 
 void Observatory::end_run() {
@@ -209,10 +188,6 @@ void Observatory::record_phase(int rank, PhaseKind phase, int iter,
   Cell& c = cell(rank, phase);
   ++c.count;
   c.total_s += seconds;
-  const double delta = seconds - c.ewma_mean;
-  c.ewma_mean += det_.ewma_alpha * delta;
-  c.ewma_var =
-      (1.0 - det_.ewma_alpha) * (c.ewma_var + det_.ewma_alpha * delta * delta);
   c.hist.record(seconds * 1e3);
 
   IterationRecord* rec = slot_for(iter);
@@ -284,7 +259,7 @@ void Observatory::finalize_iteration(IterationRecord& rec) {
   const auto n = rec.ranks.size();
   if (n == 0) return;
 
-  // POP factors of this one iteration (trace/analysis definitions, ABFT
+  // POP factors of this one iteration (the trace/analysis formula, ABFT
   // spans excluded from compute -- they are overhead, not work).
   double total_c = 0.0;
   double max_c = 0.0;
@@ -295,10 +270,10 @@ void Observatory::finalize_iteration(IterationRecord& rec) {
     max_c = std::max(max_c, rr.compute_s);
     busy[r] = rr.compute_s + rr.abft_s + rr.comm_s + rr.sched_s;
   }
-  const double wall = std::max(0.0, rec.t_end - rec.t_begin);
-  rec.load_balance = max_c > 0.0 ? (total_c / static_cast<double>(n)) / max_c
-                                 : 1.0;
-  rec.comm_efficiency = wall > 0.0 ? std::min(1.0, max_c / wall) : 1.0;
+  const PopFactors pop = pop_factors(total_c, max_c, static_cast<int>(n),
+                                     std::max(0.0, rec.t_end - rec.t_begin));
+  rec.load_balance = pop.load_balance;
+  rec.comm_efficiency = pop.comm_efficiency;
   const double a = det_.ewma_alpha;
   ewma_lb_ += a * (rec.load_balance - ewma_lb_);
   ewma_ce_ += a * (rec.comm_efficiency - ewma_ce_);
@@ -356,36 +331,6 @@ void Observatory::finalize_iteration(IterationRecord& rec) {
           obs_phase_name(worst_phase), " +",
           core::fixed(worst_excess * 1e3, 2), " ms, ",
           core::fixed(busy[worst] / std::max(med, 1e-12), 2), "x median)"));
-    }
-  }
-
-  // Drift: a phase's rolling share of iteration compute against the model
-  // expectation (the paper's contention signature -- one phase ballooning
-  // under interference while the others hold).
-  if (total_c > 0.0) {
-    std::uint32_t mask = 0;
-    for (int p = 0; p < kNumPhaseKinds; ++p) {
-      if (static_cast<PhaseKind>(p) == PhaseKind::Abft ||
-          static_cast<PhaseKind>(p) == PhaseKind::TaskWait) {
-        continue;  // not compute: no model share, never a drift signal
-      }
-      double share = 0.0;
-      for (const auto& rr : rec.ranks) {
-        share += rr.phase_s[static_cast<std::size_t>(p)];
-      }
-      share /= total_c;
-      auto& ew = ewma_share_[static_cast<std::size_t>(p)];
-      ew += a * (share - ew);
-      if (!have_expected_) continue;
-      const double want = expected_share_[static_cast<std::size_t>(p)];
-      if (ew > want * det_.drift_factor + det_.drift_margin) {
-        mask |= 1u << static_cast<unsigned>(p);
-      }
-    }
-    rec.drift_mask = mask;
-    if (mask != 0) {
-      n_drift_.fetch_add(1, std::memory_order_relaxed);
-      obs_metrics().drift_flags.add();
     }
   }
 }
@@ -467,7 +412,6 @@ core::json::Value Observatory::flight_json_locked() const {
   root["nranks"] = nranks_;
   root["ntg"] = ntg_;
   root["straggler_flags"] = n_straggler_.load(std::memory_order_relaxed);
-  root["drift_flags"] = n_drift_.load(std::memory_order_relaxed);
   root["incidents"] = [&] {
     json::Array a;
     for (const auto& r : incident_reasons_) a.emplace_back(r);
@@ -491,13 +435,6 @@ core::json::Value Observatory::flight_json_locked() const {
     it["comm_efficiency"] = rec->comm_efficiency;
     it["straggler_rank"] = rec->straggler_rank;
     it["straggler_phase"] = obs_phase_name(rec->straggler_phase);
-    json::Array drift;
-    for (int p = 0; p < kNumPhaseKinds; ++p) {
-      if ((rec->drift_mask & (1u << static_cast<unsigned>(p))) != 0) {
-        drift.emplace_back(obs_phase_name(p));
-      }
-    }
-    it["drift_phases"] = std::move(drift);
     json::Array ranks;
     for (std::size_t r = 0; r < rec->ranks.size(); ++r) {
       const auto& rr = rec->ranks[r];
@@ -524,9 +461,18 @@ core::json::Value Observatory::flight_json_locked() const {
 
 std::string Observatory::attribution_report() const {
   std::lock_guard lock(mu_);
+  // Share of summed compute span time; ABFT checks and task-queue wait are
+  // not compute (the POP definition), so they get no share.
+  auto is_compute = [](std::size_t p) {
+    return static_cast<PhaseKind>(p) != PhaseKind::Abft &&
+           static_cast<PhaseKind>(p) != PhaseKind::TaskWait;
+  };
+  double compute_total = 0.0;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    if (is_compute(i % kNumPhaseKinds)) compute_total += cells_[i]->total_s;
+  }
   core::TablePrinter t("observatory: live phase attribution");
-  t.header({"phase", "spans", "mean ms", "p95 ms", "share", "expected",
-            "drift"});
+  t.header({"phase", "spans", "mean ms", "p95 ms", "share"});
   for (int p = 0; p < kNumPhaseKinds; ++p) {
     std::uint64_t count = 0;
     double total = 0.0;
@@ -541,17 +487,12 @@ std::string Observatory::attribution_report() const {
       p95 = std::max(p95, c.hist.quantile(0.95));
     }
     if (count == 0) continue;
-    const double share = ewma_share_[static_cast<std::size_t>(p)];
-    const double want = expected_share_[static_cast<std::size_t>(p)];
-    const bool drifting =
-        have_expected_ && static_cast<PhaseKind>(p) != PhaseKind::Abft &&
-        static_cast<PhaseKind>(p) != PhaseKind::TaskWait &&
-        share > want * det_.drift_factor + det_.drift_margin;
     t.row({obs_phase_name(p), core::cat(count),
            core::fixed(total / static_cast<double>(count) * 1e3, 3),
-           core::fixed(p95, 3), core::pct(share),
-           have_expected_ ? core::pct(want) : std::string("-"),
-           drifting ? "DRIFT" : ""});
+           core::fixed(p95, 3),
+           is_compute(static_cast<std::size_t>(p)) && compute_total > 0.0
+               ? core::pct(total / compute_total)
+               : std::string("-")});
   }
   t.row({});
   t.row({"load balance (ewma)", core::pct(ewma_lb_)});
@@ -559,7 +500,6 @@ std::string Observatory::attribution_report() const {
   t.row({"iterations", core::cat(n_iters_.load(std::memory_order_relaxed))});
   t.row({"straggler flags",
          core::cat(n_straggler_.load(std::memory_order_relaxed))});
-  t.row({"drift flags", core::cat(n_drift_.load(std::memory_order_relaxed))});
   t.row({"incidents",
          core::cat(n_incidents_.load(std::memory_order_relaxed))});
   return t.str();
@@ -568,16 +508,13 @@ std::string Observatory::attribution_report() const {
 void Observatory::strict_check() const {
   if (mode() != ObsMode::Strict) return;
   std::lock_guard lock(mu_);
-  const std::uint64_t now =
-      n_straggler_.load(std::memory_order_relaxed) +
-      n_drift_.load(std::memory_order_relaxed) +
-      n_incidents_.load(std::memory_order_relaxed);
+  const std::uint64_t now = n_straggler_.load(std::memory_order_relaxed) +
+                            n_incidents_.load(std::memory_order_relaxed);
   if (now <= strict_base_) return;
   throw core::Error(core::cat(
       "observatory strict mode: ", now - strict_base_,
       " anomaly flag(s) this run (stragglers ",
-      n_straggler_.load(std::memory_order_relaxed), ", drift ",
-      n_drift_.load(std::memory_order_relaxed), ", incidents ",
+      n_straggler_.load(std::memory_order_relaxed), ", incidents ",
       n_incidents_.load(std::memory_order_relaxed), "); see fftx.obs.* and ",
       "the flight recorder"));
 }

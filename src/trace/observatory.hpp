@@ -1,7 +1,7 @@
 // Online performance observatory: live phase attribution, straggler and
 // load-imbalance detection, and a flight recorder of recent iterations.
 //
-// PR 3's tracer answers "what happened" after the run; the observatory
+// The tracer answers "what happened" after the run; the observatory
 // answers "is this run healthy" *during* it, cheaply enough to stay on in
 // production (`FFTX_OBS=watch`).  It is fed from two existing streams --
 // the RAII compute spans (trace/span.hpp) and the pipeline's communicator
@@ -11,20 +11,17 @@
 // cross-rank aggregation is shared memory and costs no collective.
 //
 // What it maintains:
-//   - per-(rank, phase) rolling statistics: EWMA mean/variance plus a
+//   - per-(rank, phase) span statistics: count, summed seconds and a
 //     streaming p95 (a core::Histogram per cell);
 //   - per-band-iteration records: per-rank compute/comm seconds split by
 //     phase, live POP load-balance and communication-efficiency factors
-//     (trace/analysis definitions applied to one iteration);
+//     (trace::pop_factors, the formula trace/analysis uses, applied to one
+//     iteration);
 //   - straggler flags: a rank whose iteration time exceeds the median of
 //     its peers by a configurable factor, with the offending phase named
 //     (largest excess over the peer average, exchange time included);
-//   - drift flags: a phase whose measured share of iteration compute
-//     exceeds the model-expected share (pushed in by the pipeline from the
-//     trace::phase_cost model) beyond a tolerance -- the paper's contention
-//     signature, detected at runtime;
-//   - a flight-recorder ring of the last FFTX_OBS_RING iterations, dumped
-//     as JSON next to the PR 3 artifacts whenever an incident fires
+//   - a flight-recorder ring of the last kObsRing iterations, dumped as
+//     JSON next to the trace artifacts whenever an incident fires
 //     (SdcError verdict, recovery shrink, watchdog near-miss, guard
 //     retry -- routed here through core::emit_incident).
 //
@@ -33,7 +30,7 @@
 //             cost is one pointer test per span (obs_active()).
 //   watch  -- record, detect, flag (metrics fftx.obs.*), never interfere.
 //   strict -- watch + strict_check() throws core::Error when any straggler
-//             or drift flag accumulated during the run (CI gates).
+//             flag or incident accumulated during the run (CI gates).
 #pragma once
 
 #include <array>
@@ -56,8 +53,9 @@ enum class ObsMode { Off, Watch, Strict };
 /// Mode selected by FFTX_OBS (off | watch | strict; default off).
 ObsMode default_obs_mode();
 
-/// Flight-recorder capacity from FFTX_OBS_RING (default 32, minimum 4).
-int default_obs_ring();
+/// Flight-recorder capacity in iterations (Observatory::configure
+/// overrides it for tests).
+inline constexpr int kObsRing = 32;
 
 const char* to_string(ObsMode mode);
 
@@ -75,9 +73,7 @@ class Observatory {
   struct Detection {
     double straggler_factor = 1.75;  ///< rank time vs peer median
     double straggler_floor_s = 2e-4; ///< minimum absolute excess
-    double drift_factor = 1.6;       ///< measured share vs expected share
-    double drift_margin = 0.05;      ///< additive share tolerance
-    double ewma_alpha = 0.1;         ///< rolling-statistics decay
+    double ewma_alpha = 0.1;         ///< decay of the run-level POP EWMAs
   };
 
   /// One rank's slice of one recorded iteration.
@@ -99,7 +95,6 @@ class Observatory {
     double comm_efficiency = 1.0;
     int straggler_rank = -1;   ///< -1 when no flag
     int straggler_phase = -1;  ///< PhaseKind value, kNumPhaseKinds == comm
-    std::uint32_t drift_mask = 0;  ///< bit p set == phase p drifted
     std::vector<RankRecord> ranks;
   };
 
@@ -127,12 +122,8 @@ class Observatory {
 
   // --- Run lifecycle (called by every rank of a pipeline; refcounted) ---
 
-  /// First rank in (re)shapes the per-rank structures; `expected_share`
-  /// is the model's per-phase fraction of iteration compute (sums to ~1
-  /// over compute phases; all-zero means "no model available", which
-  /// disables drift detection).
-  void begin_run(int nranks, int ntg,
-                 const std::array<double, kNumPhaseKinds>& expected_share);
+  /// First rank in (re)shapes the per-rank structures.
+  void begin_run(int nranks, int ntg);
   void end_run();
 
   // --- Feeds (hot paths; no collectives, one mutex) ---
@@ -142,8 +133,8 @@ class Observatory {
   /// One collective completed; exchanges carry tag == iter.
   void record_comm(int rank, int tag, double seconds);
   void iteration_begin(int rank, int iter);
-  /// Last rank to finish evaluates the iteration: POP factors, straggler,
-  /// drift -- the deferred-verdict analogue.
+  /// Last rank to finish evaluates the iteration: POP factors and the
+  /// straggler check -- the deferred-verdict analogue.
   void iteration_done(int rank, int iter);
 
   /// Fault context: counts, remembers the reason, and dumps the flight
@@ -155,7 +146,6 @@ class Observatory {
   [[nodiscard]] std::uint64_t phase_records() const { return n_records_; }
   [[nodiscard]] std::uint64_t iterations_done() const { return n_iters_; }
   [[nodiscard]] std::uint64_t straggler_flags() const { return n_straggler_; }
-  [[nodiscard]] std::uint64_t drift_flags() const { return n_drift_; }
   [[nodiscard]] std::uint64_t incidents() const { return n_incidents_; }
   [[nodiscard]] std::optional<StragglerFlag> last_straggler() const;
 
@@ -170,11 +160,12 @@ class Observatory {
   [[nodiscard]] core::json::Value flight_json() const;
 
   /// Live attribution table: per phase, observed count / mean / p95 /
-  /// share vs expected share, plus run-level POP factors and flags.
+  /// share of summed compute span time, plus run-level POP factors and
+  /// flags.
   [[nodiscard]] std::string attribution_report() const;
 
-  /// Under Strict: throws core::Error if any straggler/drift flag or
-  /// incident accumulated since begin_run.  No-op in Watch/Off.  Callers
+  /// Under Strict: throws core::Error if any straggler flag or incident
+  /// accumulated since begin_run.  No-op in Watch/Off.  Callers
   /// must invoke it at a point all ranks reach (after the closing
   /// barrier), so the throw is lockstep.
   void strict_check() const;
@@ -185,11 +176,9 @@ class Observatory {
  private:
   Observatory();
 
-  struct Cell {  // per (rank, phase) rolling statistics
+  struct Cell {  // per (rank, phase) span statistics
     std::uint64_t count = 0;
     double total_s = 0.0;
-    double ewma_mean = 0.0;
-    double ewma_var = 0.0;
     core::Histogram hist;  ///< milliseconds; p95 at ~19 % resolution
   };
 
@@ -200,16 +189,13 @@ class Observatory {
   [[nodiscard]] core::json::Value flight_json_locked() const;
 
   std::atomic<int> mode_{0};
-  int ring_cap_ = 32;
+  int ring_cap_ = kObsRing;
   Detection det_;
 
   mutable std::mutex mu_;
   int nranks_ = 0;
   int ntg_ = 1;
   int run_depth_ = 0;  ///< ranks currently inside begin_run..end_run
-  std::array<double, kNumPhaseKinds> expected_share_{};
-  std::array<double, kNumPhaseKinds> ewma_share_{};
-  bool have_expected_ = false;
   // Cells hold a core::Histogram (atomics, immovable), so the table holds
   // pointers; nranks x kNumPhaseKinds, row-major by rank.
   std::vector<std::unique_ptr<Cell>> cells_;
@@ -224,7 +210,6 @@ class Observatory {
   std::atomic<std::uint64_t> n_records_{0};
   std::atomic<std::uint64_t> n_iters_{0};
   std::atomic<std::uint64_t> n_straggler_{0};
-  std::atomic<std::uint64_t> n_drift_{0};
   std::atomic<std::uint64_t> n_incidents_{0};
   std::uint64_t strict_base_ = 0;  ///< flags at begin_run (strict_check)
   std::uint64_t records_mirrored_ = 0;  ///< span count already in the registry

@@ -55,45 +55,4 @@ PhaseCost vofr_cost(std::size_t elems) {
   return {6.0 * e, 40.0 * e};
 }
 
-double phase_nominal_ipc(PhaseKind kind) {
-  // Mirror of model::MachineConfig::knl() base_ipc -- keep in sync.
-  switch (kind) {
-    case PhaseKind::PsiPrep:
-      return 0.30;
-    case PhaseKind::Pack:
-    case PhaseKind::Scatter:
-    case PhaseKind::Unpack:
-      return 0.70;
-    case PhaseKind::FftZ:
-    case PhaseKind::Vofr:
-      return 0.90;
-    case PhaseKind::FftXy:
-      return 1.40;
-    case PhaseKind::Other:
-    case PhaseKind::Abft:
-    case PhaseKind::TaskWait:
-      return 1.0;
-  }
-  return 1.0;
-}
-
-PhaseCost phase_cost(PhaseKind kind, std::size_t elems, std::size_t len) {
-  switch (kind) {
-    case PhaseKind::FftZ:
-    case PhaseKind::FftXy:
-      return fft_cost(elems, len);
-    case PhaseKind::Vofr:
-      return vofr_cost(elems);
-    case PhaseKind::PsiPrep:
-    case PhaseKind::Pack:
-    case PhaseKind::Scatter:
-    case PhaseKind::Unpack:
-    case PhaseKind::Other:
-    case PhaseKind::Abft:
-    case PhaseKind::TaskWait:
-      return copy_cost(elems);
-  }
-  return copy_cost(elems);
-}
-
 }  // namespace fx::trace

@@ -62,17 +62,4 @@ PhaseCost copy_cost(std::size_t elems);
 /// Cost of the pointwise potential application over `elems` elements.
 PhaseCost vofr_cost(std::size_t elems);
 
-/// Lookup by kind for model-side tabulation; `elems` is total complex
-/// elements and `len` the transform length (ignored for non-FFT phases).
-PhaseCost phase_cost(PhaseKind kind, std::size_t elems, std::size_t len);
-
-/// Nominal (contention-free) relative IPC of a phase -- the trace-layer
-/// mirror of perfmodel's KNL calibration (model::MachineConfig::knl()
-/// base_ipc; keep the two in sync).  Dividing a phase's modelled
-/// instructions by this turns instruction shares into expected *time*
-/// shares, which is what the online observatory compares measured phase
-/// durations against.  Only ratios matter, so the mirror is usable on any
-/// host.
-double phase_nominal_ipc(PhaseKind kind);
-
 }  // namespace fx::trace

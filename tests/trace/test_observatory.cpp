@@ -1,7 +1,7 @@
-// Online observatory: rolling statistics, iteration verdicts, straggler
-// and drift detection, the flight-recorder ring, and strict mode -- all
-// driven through the public API with hand-fed spans, so every expected
-// number is closed-form.
+// Online observatory: span statistics, iteration verdicts, straggler
+// detection, the flight-recorder ring, and strict mode -- all driven
+// through the public API with hand-fed spans, so every expected number is
+// closed-form.
 //
 // The observatory is a process singleton; each test (re)configures it,
 // which resets all recorded state, and the suite leaves it Off.
@@ -9,14 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "core/error.hpp"
 #include "core/hooks.hpp"
 #include "core/json.hpp"
+#include "trace/analysis.hpp"
 #include "trace/phases.hpp"
+#include "trace/tracer.hpp"
 
 namespace {
 
@@ -24,8 +28,6 @@ using fx::trace::kNumPhaseKinds;
 using fx::trace::Observatory;
 using fx::trace::ObsMode;
 using fx::trace::PhaseKind;
-
-std::array<double, kNumPhaseKinds> no_expectation() { return {}; }
 
 /// Runs one fully-reported iteration: every rank begins, records its
 /// phase seconds, and reports done (rank order = vector index).
@@ -75,21 +77,10 @@ TEST(ObsMode, EnvParsing) {
   EXPECT_STREQ(fx::trace::to_string(ObsMode::Off), "off");
 }
 
-TEST(ObsMode, RingCapacityEnvValidated) {
-  setenv("FFTX_OBS_RING", "128", 1);
-  EXPECT_EQ(fx::trace::default_obs_ring(), 128);
-  setenv("FFTX_OBS_RING", "1", 1);  // below the minimum of 4: rejected
-  EXPECT_THROW(fx::trace::default_obs_ring(), fx::core::Error);
-  setenv("FFTX_OBS_RING", "plenty", 1);  // garbage: rejected
-  EXPECT_THROW(fx::trace::default_obs_ring(), fx::core::Error);
-  unsetenv("FFTX_OBS_RING");
-  EXPECT_EQ(fx::trace::default_obs_ring(), 32);
-}
-
 TEST_F(ObservatoryTest, OffModeRecordsNothing) {
   obs().configure(ObsMode::Off);
   EXPECT_EQ(fx::trace::obs_active(), nullptr);
-  obs().begin_run(2, 1, no_expectation());
+  obs().begin_run(2, 1);
   obs().record_phase(0, PhaseKind::FftZ, 0, 0.001);
   obs().iteration_begin(0, 0);
   obs().iteration_done(0, 0);
@@ -100,17 +91,29 @@ TEST_F(ObservatoryTest, OffModeRecordsNothing) {
 
 TEST_F(ObservatoryTest, WatchModeIsActiveAndCounts) {
   EXPECT_EQ(fx::trace::obs_active(), &obs());
-  obs().begin_run(1, 1, no_expectation());
+  obs().begin_run(1, 1);
   for (int i = 0; i < 20; ++i) {
     obs().record_phase(0, PhaseKind::FftZ, 0, 0.010);
   }
+  obs().record_phase(0, PhaseKind::FftXy, 0, 0.600);
+  obs().record_phase(0, PhaseKind::Abft, 0, 0.500);
   obs().end_run();
-  EXPECT_EQ(obs().phase_records(), 20u);
-  // The attribution table carries the phase row with its span count.
+  EXPECT_EQ(obs().phase_records(), 22u);
+  // The attribution table carries each phase row with its span count and
+  // its share of summed compute span time; ABFT is not compute.
   const std::string report = obs().attribution_report();
-  EXPECT_NE(report.find(fx::trace::to_string(PhaseKind::FftZ)),
-            std::string::npos);
-  EXPECT_NE(report.find("20"), std::string::npos);
+  auto row = [&](PhaseKind phase) {
+    const auto at =
+        report.find("\n" + std::string(fx::trace::to_string(phase)) + " ");
+    if (at == std::string::npos) return std::string();
+    return report.substr(at + 1, report.find('\n', at + 1) - at - 1);
+  };
+  EXPECT_NE(row(PhaseKind::FftZ).find("20"), std::string::npos);
+  EXPECT_NE(row(PhaseKind::FftZ).find("25.00 %"), std::string::npos);
+  EXPECT_NE(row(PhaseKind::FftXy).find("75.00 %"), std::string::npos);
+  const std::string abft = row(PhaseKind::Abft);
+  ASSERT_FALSE(abft.empty());
+  EXPECT_EQ(abft.find('%'), std::string::npos) << abft;
 }
 
 TEST_F(ObservatoryTest, IterationVerdictComputesPopFactors) {
@@ -119,7 +122,7 @@ TEST_F(ObservatoryTest, IterationVerdictComputesPopFactors) {
   fx::trace::Observatory::Detection wide;
   wide.straggler_factor = 3.0;
   obs().configure_detection(wide);
-  obs().begin_run(2, 1, no_expectation());
+  obs().begin_run(2, 1);
   // Rank 0 computes 4 ms, rank 1 computes 2 ms: LB = avg/max = 3/4.
   feed_iteration(obs(), 0,
                  {{{PhaseKind::FftZ, 0.004}}, {{PhaseKind::FftZ, 0.002}}});
@@ -134,8 +137,53 @@ TEST_F(ObservatoryTest, IterationVerdictComputesPopFactors) {
   EXPECT_EQ(flight[0].straggler_rank, -1);  // 2x < widened 3x factor
 }
 
+TEST_F(ObservatoryTest, PopFactorsMatchTraceAnalysis) {
+  // One formula: the same per-rank compute spans of one iteration, fed to
+  // the observatory and to a Tracer, give the same POP factors.  Rank 1's
+  // ABFT span is overhead on both sides.
+  const std::vector<std::vector<std::pair<PhaseKind, double>>> spans = {
+      {{PhaseKind::FftZ, 0.0007}, {PhaseKind::FftXy, 0.0004}},
+      {{PhaseKind::FftZ, 0.0005}, {PhaseKind::Abft, 0.0009}},
+      {{PhaseKind::Pack, 0.0002}, {PhaseKind::FftXy, 0.0006}}};
+  const int n = static_cast<int>(spans.size());
+  obs().begin_run(n, 1);
+  for (int r = 0; r < n; ++r) obs().iteration_begin(r, 0);
+  // The iteration's wall time must exceed every rank's compute, so that
+  // comm efficiency is a real ratio and not the cap at 1.
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  for (int r = 0; r < n; ++r) {
+    for (const auto& [phase, seconds] : spans[static_cast<std::size_t>(r)]) {
+      obs().record_phase(r, phase, 0, seconds);
+    }
+  }
+  for (int r = 0; r < n; ++r) obs().iteration_done(r, 0);
+  obs().end_run();
+  const auto flight = obs().flight();
+  ASSERT_EQ(flight.size(), 1u);
+  const auto& rec = flight[0];
+
+  // Every span starts at t = 0, so each duration is exactly the seconds
+  // the observatory summed; a task-wait span (not compute) stretches the
+  // trace to the iteration's wall time.
+  fx::trace::Tracer tr(n);
+  for (int r = 0; r < n; ++r) {
+    for (const auto& [phase, seconds] : spans[static_cast<std::size_t>(r)]) {
+      tr.record_compute(
+          fx::trace::ComputeEvent{r, 0, phase, 0, 0.0, seconds, 0.0});
+    }
+  }
+  tr.record_compute(fx::trace::ComputeEvent{
+      0, 0, PhaseKind::TaskWait, 0, 0.0, rec.t_end - rec.t_begin, 0.0});
+  const auto s = fx::trace::analyze_efficiency(tr, 1.0);
+
+  EXPECT_LT(rec.load_balance, 1.0);
+  EXPECT_LT(rec.comm_efficiency, 1.0);
+  EXPECT_DOUBLE_EQ(s.load_balance, rec.load_balance);
+  EXPECT_DOUBLE_EQ(s.comm_efficiency, rec.comm_efficiency);
+}
+
 TEST_F(ObservatoryTest, AbftSecondsAreOverheadNotCompute) {
-  obs().begin_run(2, 1, no_expectation());
+  obs().begin_run(2, 1);
   // Identical useful compute; rank 1 additionally runs ABFT checks.  Were
   // ABFT counted as compute, LB would drop to 0.75; it must stay 1.0.
   feed_iteration(obs(), 0,
@@ -150,7 +198,7 @@ TEST_F(ObservatoryTest, AbftSecondsAreOverheadNotCompute) {
 }
 
 TEST_F(ObservatoryTest, StragglerFlagNamesRankAndPhase) {
-  obs().begin_run(3, 1, no_expectation());
+  obs().begin_run(3, 1);
   // Rank 2 spends 50 ms in FFT-XY against a 1 ms peer median: 50x > 1.75x
   // and 49 ms > the 0.2 ms absolute floor.
   feed_iteration(obs(), 0,
@@ -168,7 +216,7 @@ TEST_F(ObservatoryTest, StragglerFlagNamesRankAndPhase) {
 }
 
 TEST_F(ObservatoryTest, CollectiveStallAttributedToExchange) {
-  obs().begin_run(3, 1, no_expectation());
+  obs().begin_run(3, 1);
   // Equal compute everywhere; rank 1 blocks 50 ms inside the exchange.
   feed_iteration(obs(), 0,
                  {{{PhaseKind::FftZ, 0.001}},
@@ -183,7 +231,7 @@ TEST_F(ObservatoryTest, CollectiveStallAttributedToExchange) {
 }
 
 TEST_F(ObservatoryTest, BelowThresholdNeverFlags) {
-  obs().begin_run(2, 1, no_expectation());
+  obs().begin_run(2, 1);
   // 1.5x the peer: below the 1.75x default factor.
   feed_iteration(obs(), 0,
                  {{{PhaseKind::FftZ, 0.010}}, {{PhaseKind::FftZ, 0.015}}});
@@ -195,39 +243,9 @@ TEST_F(ObservatoryTest, BelowThresholdNeverFlags) {
   EXPECT_FALSE(obs().last_straggler().has_value());
 }
 
-TEST_F(ObservatoryTest, DriftAgainstModelExpectation) {
-  // The model predicts all compute in FFT-Z; the run spends everything in
-  // Pack.  Pack's EWMA share after one iteration is alpha * 1.0 = 0.1,
-  // above its expected-share threshold 0 * 1.6 + 0.05.
-  std::array<double, kNumPhaseKinds> expected{};
-  expected[static_cast<std::size_t>(PhaseKind::FftZ)] = 1.0;
-  obs().begin_run(1, 1, expected);
-  feed_iteration(obs(), 0, {{{PhaseKind::Pack, 0.010}}});
-  obs().end_run();
-  EXPECT_GE(obs().drift_flags(), 1u);
-  const auto flight = obs().flight();
-  ASSERT_EQ(flight.size(), 1u);
-  EXPECT_NE(flight[0].drift_mask &
-                (1u << static_cast<unsigned>(PhaseKind::Pack)),
-            0u);
-  // FFT-Z itself is under its expectation -- not drifted.
-  EXPECT_EQ(flight[0].drift_mask &
-                (1u << static_cast<unsigned>(PhaseKind::FftZ)),
-            0u);
-}
-
-TEST_F(ObservatoryTest, NoExpectationDisablesDrift) {
-  obs().begin_run(1, 1, no_expectation());
-  for (int i = 0; i < 10; ++i) {
-    feed_iteration(obs(), i, {{{PhaseKind::Pack, 0.010}}});
-  }
-  obs().end_run();
-  EXPECT_EQ(obs().drift_flags(), 0u);
-}
-
 TEST_F(ObservatoryTest, RingEvictsOldestIterations) {
   obs().configure(ObsMode::Watch, /*ring_capacity=*/4);
-  obs().begin_run(1, 1, no_expectation());
+  obs().begin_run(1, 1);
   for (int i = 0; i < 6; ++i) {
     feed_iteration(obs(), i, {{{PhaseKind::FftZ, 0.001}}});
   }
@@ -243,7 +261,7 @@ TEST_F(ObservatoryTest, TaskGroupIterationsShareASlot) {
   // With ntg = 2, iterations advance by 2 bands; slot_for divides by ntg
   // so consecutive iterations do not collide in the ring.
   obs().configure(ObsMode::Watch, /*ring_capacity=*/4);
-  obs().begin_run(1, 2, no_expectation());
+  obs().begin_run(1, 2);
   for (int i = 0; i < 8; i += 2) {
     feed_iteration(obs(), i, {{{PhaseKind::FftZ, 0.001}}});
   }
@@ -255,7 +273,7 @@ TEST_F(ObservatoryTest, TaskGroupIterationsShareASlot) {
 }
 
 TEST_F(ObservatoryTest, FlightJsonRoundTripsThroughParser) {
-  obs().begin_run(2, 1, no_expectation());
+  obs().begin_run(2, 1);
   feed_iteration(obs(), 0,
                  {{{PhaseKind::FftZ, 0.004}}, {{PhaseKind::FftZ, 0.002}}},
                  {0.001, 0.001});
@@ -280,7 +298,7 @@ TEST_F(ObservatoryTest, IncidentHookDumpsFlightToTraceDir) {
   std::filesystem::remove_all(dir);
   setenv("FFTX_TRACE_DIR", dir.string().c_str(), 1);
 
-  obs().begin_run(1, 1, no_expectation());
+  obs().begin_run(1, 1);
   feed_iteration(obs(), 0, {{{PhaseKind::FftZ, 0.001}}});
   // Incidents route through the core hook -- the same path SdcError,
   // recovery shrink, guard retries and watchdog near-misses use.
@@ -307,7 +325,7 @@ TEST_F(ObservatoryTest, IncidentHookDumpsFlightToTraceDir) {
 
 TEST_F(ObservatoryTest, StrictModeThrowsOnAccumulatedFlags) {
   obs().configure(ObsMode::Strict);
-  obs().begin_run(3, 1, no_expectation());
+  obs().begin_run(3, 1);
   EXPECT_NO_THROW(obs().strict_check());  // clean so far
   feed_iteration(obs(), 0,
                  {{{PhaseKind::FftXy, 0.001}},
@@ -317,13 +335,13 @@ TEST_F(ObservatoryTest, StrictModeThrowsOnAccumulatedFlags) {
   obs().end_run();
 
   // A new run rebases the strict counter: old flags do not re-throw.
-  obs().begin_run(3, 1, no_expectation());
+  obs().begin_run(3, 1);
   EXPECT_NO_THROW(obs().strict_check());
   obs().end_run();
 }
 
 TEST_F(ObservatoryTest, WatchModeNeverThrows) {
-  obs().begin_run(3, 1, no_expectation());
+  obs().begin_run(3, 1);
   feed_iteration(obs(), 0,
                  {{{PhaseKind::FftXy, 0.001}},
                   {{PhaseKind::FftXy, 0.001}},
@@ -334,7 +352,7 @@ TEST_F(ObservatoryTest, WatchModeNeverThrows) {
 }
 
 TEST_F(ObservatoryTest, DetectionThresholdsAreConfigurable) {
-  obs().begin_run(2, 1, no_expectation());
+  obs().begin_run(2, 1);
   Observatory::Detection det;
   det.straggler_factor = 1.2;  // tighter than the 1.5x gap below
   det.straggler_floor_s = 1e-6;
